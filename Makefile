@@ -4,7 +4,7 @@
 GO ?= go
 BENCH_JSON ?= BENCH_hotloop.json
 
-.PHONY: all build vet test race race-harness bench bench-gate golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke lint fuzz ci clean
+.PHONY: all build vet test race race-harness bench bench-gate bench-smoke golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke lint fuzz ci clean
 
 all: ci
 
@@ -43,6 +43,12 @@ bench:
 bench-gate:
 	IPEX_BENCH_GATE=1 $(GO) test -run TestBenchGate -count=1 .
 
+# The repository benchmark (bench/) is its own Go module, so `go build ./...`
+# and `go test ./...` at the root never compile it. Its tests keep a harness
+# or experiments API change from silently breaking it.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
 # The golden determinism gate: simulator results must stay bit-identical to
 # testdata/golden_rfhome.json (captured before the hot-loop optimization).
 golden:
@@ -56,7 +62,10 @@ tracestat-golden:
 
 # Resume smoke: run–interrupt–resume–diff against the real binary. The
 # resumed sweep's -json output must be byte-identical to an uninterrupted
-# run (the tentpole guarantee of the crash-safe harness).
+# run (the tentpole guarantee of the crash-safe harness). A second,
+# multi-experiment pass checks that a journaled -all run prints the same
+# bytes as an unjournaled one while simulating each distinct cell key
+# once, and that its interrupt-and-resume round trip is byte-identical too.
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/experiments ./cmd/experiments || exit 1; \
@@ -72,7 +81,29 @@ resume-smoke:
 	$$tmp/experiments $$args -journal $$tmp/sweep.jsonl -resume >$$tmp/resumed.json || exit 1; \
 	diff -u $$tmp/golden.json $$tmp/resumed.json \
 		|| { echo "resume-smoke: resumed output differs from golden"; exit 1; }; \
-	echo "resume-smoke: resumed sweep is byte-identical to the uninterrupted golden"
+	all="-all -scale 0.02 -apps fft,gsme -json"; \
+	$$tmp/experiments $$all >$$tmp/all.json || exit 1; \
+	$$tmp/experiments $$all -journal $$tmp/all.jsonl >$$tmp/all-journaled.json 2>$$tmp/all.log \
+		|| { cat $$tmp/all.log; exit 1; }; \
+	diff -u $$tmp/all.json $$tmp/all-journaled.json \
+		|| { echo "resume-smoke: journaled -all output differs from unjournaled"; exit 1; }; \
+	executed=$$(sed -n 's/^supervision: \([0-9]*\) cell(s) executed.*/\1/p' $$tmp/all.log); \
+	distinct=$$(grep -o '"key":"[0-9a-f]*"' $$tmp/all.jsonl | sort -u | wc -l); \
+	if [ -z "$$executed" ] || [ "$$executed" -ne "$$distinct" ]; then \
+		echo "resume-smoke: -all executed '$$executed' cell(s), want one per distinct journal key ($$distinct)"; \
+		cat $$tmp/all.log; exit 1; \
+	fi; \
+	$$tmp/experiments $$all -journal $$tmp/all2.jsonl -interrupt-after 40 \
+		>/dev/null 2>$$tmp/all-interrupt.log; \
+	status=$$?; \
+	if [ $$status -ne 130 ]; then \
+		echo "resume-smoke: interrupted -all run exited $$status, want 130"; \
+		cat $$tmp/all-interrupt.log; exit 1; \
+	fi; \
+	$$tmp/experiments $$all -journal $$tmp/all2.jsonl -resume >$$tmp/all-resumed.json || exit 1; \
+	diff -u $$tmp/all.json $$tmp/all-resumed.json \
+		|| { echo "resume-smoke: resumed -all output differs from unjournaled"; exit 1; }; \
+	echo "resume-smoke: resumed sweeps are byte-identical to uninterrupted runs; -all simulated each of its $$distinct distinct cells once"
 
 # Service smoke: start a real ipexd, prove the miss-then-hit contract over
 # HTTP (second identical request is a cache hit, byte-identical to the fresh
@@ -328,7 +359,7 @@ remote-smoke:
 		|| { echo "remote-smoke: dead fleet did not degrade to local:"; grep '^remote:' $$tmp/down.log; exit 1; }; \
 	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local; dead fleet degraded cleanly"
 
-ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke fuzz bench-gate
+ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke fuzz bench-gate bench-smoke
 	$(GO) test -run=NONE -bench=BenchmarkFig10 -benchtime=1x ./...
 
 clean:

@@ -136,7 +136,7 @@ func (t *telemetry) metrics(w http.ResponseWriter, _ *http.Request) {
 	// Supervision counters (crash-safe harness): journal replays, retries,
 	// watchdog timeouts, isolated panics, and journaled failures.
 	cs := t.counters()
-	gauge("ipex_sweep_cells_replayed", "cells answered from the resume journal without simulating", float64(cs.Replayed))
+	gauge("ipex_sweep_cells_replayed", "cells answered from the journal without simulating: a resumed journal's entries, or a key this sweep already journaled", float64(cs.Replayed))
 	gauge("ipex_sweep_cells_remote", "cells executed on the ipexd fleet (verified remote results)", float64(cs.Remote))
 	gauge("ipex_sweep_cells_retried", "cell re-runs after a transient failure", float64(cs.Retried))
 	gauge("ipex_sweep_cell_timeouts", "wall-clock backstop expiries", float64(cs.Timeouts))

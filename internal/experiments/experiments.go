@@ -194,6 +194,10 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 			cellPaths[i] = o.Cells.reserve(j.app)
 		}
 	}
+	// A run with an observer attached must simulate even when an earlier
+	// cell of the sweep already journaled its key, so that traces and
+	// metrics match those of an unjournaled sweep.
+	observed := o.Tracer != nil || o.Cells != nil || o.Metrics != nil
 	cells := make([]harness.Cell, len(jobs))
 	for i := range jobs {
 		j := jobs[i]
@@ -203,9 +207,10 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 			path = cellPaths[i]
 		}
 		cells[i] = harness.Cell{
-			Key:   cellKey(o, j, cfg),
-			Label: j.app,
-			Run:   o.cellRun(store, j, cfg, path),
+			Key:      cellKey(o, j, cfg),
+			Label:    j.app,
+			Run:      o.cellRun(store, j, cfg, path),
+			Observed: observed,
 		}
 		if o.RemoteEncode != nil && cells[i].Key != "" {
 			cells[i].RemoteReq = o.RemoteEncode(j.app, o.Scale, j.tr, o.TraceSeed, cfg, cells[i].Key)

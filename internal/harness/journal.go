@@ -65,13 +65,38 @@ type Entry struct {
 
 // Journal is an append-only JSONL record of completed sweep cells. Appends
 // are concurrency-safe and atomic at the line level: each entry is written
-// with a single O_APPEND write followed by an fsync, so a crash can at
-// worst truncate the final line — which resume detects and skips (the cell
-// is simply re-run).
+// with a single O_APPEND write, so a crash can at worst truncate the final
+// line — which resume detects and skips (the cell is simply re-run).
+//
+// Every line is durable before Append returns. Concurrent appenders share
+// an fsync (group commit): lines are written under the mutex and synced
+// outside it, and each Append waits for an fsync that started after its
+// write. A KindCell line whose key an earlier cell line already carries
+// waits only for that line to be durable and costs no fsync of its own —
+// resume replays the key from the earlier line.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
+	// sync makes the written lines durable: f.Sync, except in tests that
+	// count or stall fsyncs.
+	sync func() error
+
+	// synced is signalled (on mu) whenever an fsync finishes.
+	synced  sync.Cond
+	written uint64 // lines written so far
+	durable uint64 // lines covered by a finished fsync
+	syncing bool   // an fsync is in flight
+	// cells maps each KindCell key to the number of its first line, so a
+	// repeat need only wait for that line to be durable. A KindFail line
+	// drops the key: on resume it would shadow the earlier cell line.
+	cells map[string]uint64
+}
+
+func newJournal(f *os.File, path string) *Journal {
+	j := &Journal{f: f, path: path, sync: f.Sync, cells: make(map[string]uint64)}
+	j.synced.L = &j.mu
+	return j
 }
 
 // CreateJournal starts a fresh journal at path for the sweep identified by
@@ -86,7 +111,7 @@ func CreateJournal(path, sweepKey string) (*Journal, error) {
 		}
 		return nil, fmt.Errorf("harness: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	j := newJournal(f, path)
 	if err := j.Append(Entry{Kind: KindHeader, Schema: Schema, Sweep: sweepKey}); err != nil {
 		f.Close()
 		os.Remove(path)
@@ -178,7 +203,7 @@ func ResumeJournal(path, sweepKey string) (*Journal, map[string]*Entry, []string
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("harness: reopening journal: %w", err)
 	}
-	return &Journal{f: f, path: path}, entries, warnings, nil
+	return newJournal(f, path), entries, warnings, nil
 }
 
 // Append durably writes one entry as a single JSON line. Nil-receiver safe:
@@ -199,8 +224,44 @@ func (j *Journal) Append(e Entry) error {
 	if _, err := j.f.Write(b); err != nil {
 		return fmt.Errorf("harness: appending to journal: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("harness: syncing journal: %w", err)
+	j.written++
+	need := j.written
+	switch e.Kind {
+	case KindCell:
+		if first, ok := j.cells[e.Key]; ok {
+			need = first
+		} else {
+			j.cells[e.Key] = need
+		}
+	case KindFail:
+		delete(j.cells, e.Key)
+	}
+	return j.waitDurable(need)
+}
+
+// waitDurable returns once line n is covered by a finished fsync. The
+// caller holds j.mu. If no fsync is in flight the caller runs one for every
+// line written so far, with the mutex released so that other appenders can
+// write meanwhile; otherwise it waits for the running one and re-checks.
+func (j *Journal) waitDurable(n uint64) error {
+	for j.durable < n {
+		if j.syncing {
+			j.synced.Wait()
+			continue
+		}
+		j.syncing = true
+		upTo := j.written
+		j.mu.Unlock()
+		err := j.sync()
+		j.mu.Lock()
+		j.syncing = false
+		if err == nil {
+			j.durable = upTo
+		}
+		j.synced.Broadcast()
+		if err != nil {
+			return fmt.Errorf("harness: syncing journal: %w", err)
+		}
 	}
 	return nil
 }
@@ -220,5 +281,8 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	for j.syncing {
+		j.synced.Wait()
+	}
 	return j.f.Close()
 }

@@ -20,7 +20,7 @@ import (
 //	harness.attempt_seconds        one supervised run attempt (per attempt,
 //	                               not per cell — retries observe again)
 //	harness.backoff_seconds        the deterministic retry delay slept
-//	harness.journal_append_seconds one journal Append (write + fsync)
+//	harness.journal_append_seconds one journal Append (write + covering fsync)
 type Obs struct {
 	Clock trace.Clock
 

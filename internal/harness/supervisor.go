@@ -65,7 +65,9 @@ func (p *PanicError) Error() string {
 // atomics, safe to read while a sweep runs.
 type Counters struct {
 	// Executed counts cells that ran in this process; Replayed counts
-	// cells answered from the journal without simulating.
+	// cells answered from the journal without simulating: from a resumed
+	// journal's entries, or from an entry this sweep already journaled for
+	// the same key (see Supervisor.Journal).
 	Executed atomic.Uint64
 	Replayed atomic.Uint64
 	// Retried counts re-runs after a transient failure or truncation;
@@ -143,6 +145,11 @@ type Cell struct {
 	// exact cell identity. Empty means the cell is not expressible remotely
 	// and always runs locally, RemoteRunner or not.
 	RemoteReq []byte
+	// Observed marks a cell whose run feeds a per-run observer (an event
+	// tracer, a per-cell trace file, a metrics registry). It always runs,
+	// never answered by an earlier copy of its key, so observer output is
+	// the same as in an unjournaled sweep.
+	Observed bool
 }
 
 // Supervisor wraps every cell of a sweep in the crash-safety envelope:
@@ -155,6 +162,12 @@ type Supervisor struct {
 	// Journal receives one entry per finished cell; nil disables
 	// journaling. A *Journal writes a durable file; the distributed layer
 	// installs in-memory sinks that stream entries to a coordinator.
+	//
+	// A journaled supervisor runs each key once: a repeat of a key
+	// waits for its first copy, skips RunRemote and local simulation, and
+	// journals a copy of the first copy's entry, so the journal still holds
+	// one identical line per cell. Only completed KindCell outcomes are
+	// shared; keyless and Observed cells always run.
 	Journal Sink
 	// Replay holds journaled entries from a resumed run, keyed by cell
 	// hash. Cells whose key maps to a KindCell entry return the journaled
@@ -213,6 +226,7 @@ type Supervisor struct {
 	Obs *Obs
 
 	admitted atomic.Uint64
+	memo     memo
 }
 
 // admit consumes one slot of the StopAfter budget; it reports false once
@@ -256,6 +270,39 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 	if res, ok := s.replay(c); ok {
 		return res, nil, true
 	}
+	if s == nil || s.Journal == nil || c.Key == "" || c.Observed {
+		res, err, _ := s.execute(c, a)
+		return res, err, false
+	}
+	for {
+		call, leader := s.memo.join(c.Key)
+		if leader {
+			return s.lead(c, a, call)
+		}
+		<-call.done
+		if e := call.entry; e != nil {
+			s.Counters.Replayed.Add(1)
+			s.journal(*e)
+			return *e.Result, nil, true
+		}
+		// The leader's outcome was not shareable: run the key again.
+	}
+}
+
+// lead runs a memoized key's first copy and publishes the entry it
+// journaled to the copies waiting on call. The publication is deferred so
+// that waiters are released even if the run panics out of RunCell.
+func (s *Supervisor) lead(c Cell, a *nvp.Arena, call *memoCall) (res nvp.Result, err error, replayed bool) {
+	var e *Entry
+	defer func() { s.memo.finish(c.Key, call, e) }()
+	res, err, e = s.execute(c, a)
+	return res, err, false
+}
+
+// execute runs a cell remotely or locally under retries and panic
+// isolation, journals the outcome, and returns the KindCell entry it
+// journaled (nil for a failure).
+func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, *Entry) {
 	if s != nil && s.Remote != nil && c.Key != "" && len(c.RemoteReq) > 0 {
 		res, handled, err := s.Remote.RunRemote(c.Key, c.Label, c.RemoteReq)
 		if handled {
@@ -263,12 +310,12 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 				s.count(func(cs *Counters) { cs.Failures.Add(1) })
 				s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
 					Attempts: 1, Error: err.Error()})
-				return nvp.Result{App: c.Label}, err, false
+				return nvp.Result{App: c.Label}, err, nil
 			}
 			s.count(func(cs *Counters) { cs.Remote.Add(1) })
-			s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
-				Attempts: 1, Result: &res})
-			return res, nil, false
+			e := &Entry{Kind: KindCell, Key: c.Key, App: c.Label, Attempts: 1, Result: &res}
+			s.journal(*e)
+			return res, nil, e
 		}
 		// Declined: degrade to local execution below.
 	}
@@ -287,12 +334,12 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 			s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
 				Attempts: attempts, Error: pe.Error(), Stack: pe.Stack})
 			if s != nil && s.PropagatePanics {
-				return nvp.Result{App: c.Label}, pe, false
+				return nvp.Result{App: c.Label}, pe, nil
 			}
 			// Isolate: fail only this cell. A zero result with
 			// Completed=false feeds the sweep's soft-fail path, so the
 			// surviving cells still render (with a skipped note).
-			return nvp.Result{App: c.Label}, nil, false
+			return nvp.Result{App: c.Label}, nil, nil
 		}
 		retryable := (err != nil && IsTransient(err)) || (err == nil && !res.Completed)
 		if retryable && attempts <= s.maxRetries() {
@@ -307,11 +354,11 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 		s.count(func(cs *Counters) { cs.Failures.Add(1) })
 		s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
 			Attempts: attempts, Error: err.Error()})
-		return res, err, false
+		return res, err, nil
 	}
-	s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
-		Attempts: attempts, Result: &res})
-	return res, nil, false
+	e := &Entry{Kind: KindCell, Key: c.Key, App: c.Label, Attempts: attempts, Result: &res}
+	s.journal(*e)
+	return res, nil, e
 }
 
 // SkippedResult is the placeholder a Skip-filtered cell returns: marked

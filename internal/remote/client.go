@@ -468,10 +468,15 @@ func (c *Client) attemptHedged(primary, backup *target, key string, req []byte) 
 			if out.hedge {
 				c.hedgeWins.Inc()
 			}
-			// Cancel the straggler; its attempt concludes in the cancelled
-			// bucket without a breaker verdict.
+			// Cancel the straggler and wait for it: its attempt concludes in
+			// the cancelled bucket without a breaker verdict, and draining it
+			// here means every attempt is bucketed once RunRemote returns.
+			// Cancellation makes the wait prompt.
 			pcancel()
 			hcancel()
+			for ; i+1 < launched; i++ {
+				<-ch
+			}
 			return out.res, 0, nil, nil
 		}
 		if i == 0 || (firstFail.retryAfter == 0 && out.retryAfter > 0) {
