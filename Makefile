@@ -49,10 +49,13 @@ bench-gate:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# The golden determinism gate: simulator results must stay bit-identical to
-# testdata/golden_rfhome.json (captured before the hot-loop optimization).
+# The golden gate: simulator results must stay bit-identical to
+# testdata/golden_rfhome.json (20 apps x 3 configs, captured before the
+# hot-loop optimization) and testdata/golden_loops.json (every observer and
+# ablation corner of the simulator loop, through both the Cursor and the
+# Generator workload paths).
 golden:
-	$(GO) test -run TestGoldenDeterminism .
+	$(GO) test -run '^TestGolden' .
 
 # The trace-analyzer golden gate: tracestat's rendered report for a pinned
 # traced run must stay byte-identical to its committed fixture (regenerate
