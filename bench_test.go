@@ -191,11 +191,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			InstsPerSec:  float64(insts) / b.Elapsed().Seconds(),
 			AllocsPerRun: int64(m1.Mallocs - m0.Mallocs),
 			BytesPerRun:  int64(m1.TotalAlloc - m0.TotalAlloc),
-			FastPaths: []benchio.FastPath{
-				measureFastPath(b, "generic", trace, true, false),
-				measureFastPath(b, "fast", trace, false, false),
-				measureFastPath(b, "fast-nopf", trace, false, true),
-			},
+			FastPaths:    loopConfigs(b, trace),
 		}
 		if err := benchio.Write(path, rec); err != nil {
 			b.Logf("writing %s: %v", path, err)
@@ -203,15 +199,23 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// measureFastPath times one loop variant through a warmed arena: the
-// generic interpreter loop, the default-configuration specialized loop, or
-// the no-prefetch specialized loop.
-func measureFastPath(tb testing.TB, name string, trace *Trace, generic, nopf bool) benchio.FastPath {
-	cfg := DefaultConfig()
-	if nopf {
-		cfg = cfg.WithoutPrefetch()
+// loopConfigs measures the simulator loop under each configuration the
+// repository benchmark's sweeps run: the default system, IPEX on both
+// caches, no prefetching, and the paranoid invariant checker.
+func loopConfigs(tb testing.TB, trace *Trace) []benchio.FastPath {
+	paranoid := DefaultConfig()
+	paranoid.Paranoid = true
+	return []benchio.FastPath{
+		measureLoop(tb, "default", trace, DefaultConfig()),
+		measureLoop(tb, "ipex-both", trace, DefaultConfig().WithIPEX()),
+		measureLoop(tb, "no-prefetch", trace, DefaultConfig().WithoutPrefetch()),
+		measureLoop(tb, "paranoid", trace, paranoid),
 	}
-	cfg.DisableFastPaths = generic
+}
+
+// measureLoop times the simulator loop under one configuration through a
+// warmed arena.
+func measureLoop(tb testing.TB, name string, trace *Trace, cfg Config) benchio.FastPath {
 	ar := NewArena()
 	if _, err := ar.Run("gsme", 1.0, trace, cfg); err != nil {
 		tb.Fatal(err)
@@ -263,7 +267,7 @@ func TestBenchGate(t *testing.T) {
 	}
 	trace := GenerateTrace(RFHome, 0, 1)
 
-	fp := measureFastPath(t, "fast", trace, false, false)
+	fp := measureLoop(t, "default", trace, DefaultConfig())
 	if fp.AllocsPerRun > 0 {
 		t.Errorf("steady-state run allocates %d times, want 0", fp.AllocsPerRun)
 	}
@@ -273,7 +277,7 @@ func TestBenchGate(t *testing.T) {
 	best := fp.InstsPerSec
 	floor := rec.Hotloop.InstsPerSec * 0.9
 	for i := 0; i < 2 && best < floor; i++ {
-		if again := measureFastPath(t, "fast", trace, false, false); again.InstsPerSec > best {
+		if again := measureLoop(t, "default", trace, DefaultConfig()); again.InstsPerSec > best {
 			best = again.InstsPerSec
 		}
 	}

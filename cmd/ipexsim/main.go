@@ -60,7 +60,6 @@ func main() {
 		bufferMode = flag.Bool("buffermode", false, "keep prefetches in the buffer until use instead of filling the cache")
 		cycles     = flag.Int("cycles", 0, "print per-power-cycle telemetry for the first N cycles")
 		paranoid   = flag.Bool("paranoid", false, "run the runtime invariant checker and print its report")
-		genericRun = flag.Bool("generic-loop", false, "force the generic interpreter loop (disable the specialized fast paths; results are bit-identical either way)")
 
 		faultSeed     = flag.Uint64("fault-seed", fault.DefaultSeed, "fault-injection seed (same seed + config = identical schedule)")
 		adcBits       = flag.Int("adc-bits", 0, "quantize IPEX voltage sensing to an N-bit ADC (0 = ideal analog)")
@@ -70,9 +69,9 @@ func main() {
 		harvestDrop   = flag.Float64("harvest-dropout", 0, "per-sample probability a harvest sample is zeroed")
 		harvestSpike  = flag.Float64("harvest-spike", 0, "per-sample probability a harvest sample spikes 4x")
 		harvestStorm  = flag.Float64("harvest-storm", 0, "per-sample probability a multi-sample brownout storm begins")
-		saveTrace  = flag.String("savetrace", "", "record the workload's access trace to this file and exit")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		saveTrace     = flag.String("savetrace", "", "record the workload's access trace to this file and exit")
+		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memProfile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 
@@ -162,7 +161,6 @@ func main() {
 	cfg.Ideal = *ideal
 	cfg.ReissueOnExit = *reissue
 	cfg.PrefetchToCache = !*bufferMode
-	cfg.DisableFastPaths = *genericRun
 	cfg.Capacitor.CapacitanceFarads = *capF
 
 	var tech energy.NVMTech

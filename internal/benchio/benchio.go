@@ -14,16 +14,18 @@ import (
 )
 
 // Schema identifies the record layout; bump on incompatible change.
-// v2 added Hotloop.FastPaths: per-loop-variant throughput and allocation
-// figures for the specialized hot loops.
+// v2 added Hotloop.FastPaths: per-configuration throughput and allocation
+// figures for the simulator loop.
 const Schema = "ipex-bench-hotloop/v2"
 
-// FastPath is the measurement of one loop variant: the generic interpreter
-// loop or one of the specialized fast paths, all run through a warmed
-// arena so the figures isolate the loop itself.
+// FastPath is the measurement of the simulator loop under one
+// configuration, run through a warmed arena so the figures isolate the
+// loop itself. The JSON key keeps its schema-v2 name, fast_paths, from
+// when each configuration class had its own specialized loop.
 type FastPath struct {
-	// Name is the variant: "generic", "fast" (default configuration through
-	// the specialized loop), or "fast-nopf" (the no-prefetch loop).
+	// Name is the configuration: "default", "ipex-both", "no-prefetch" or
+	// "paranoid" (records written before the loops were merged carry the
+	// loop variants "generic", "fast" and "fast-nopf" instead).
 	Name string `json:"name"`
 	// InstsPerSec is simulated instructions per wall second.
 	InstsPerSec float64 `json:"insts_per_sec"`
@@ -48,7 +50,7 @@ type Hotloop struct {
 	// AllocsPerRun and BytesPerRun are heap allocations per nvp.Run.
 	AllocsPerRun int64 `json:"allocs_per_run"`
 	BytesPerRun  int64 `json:"bytes_per_run"`
-	// FastPaths breaks throughput down per loop variant (schema v2).
+	// FastPaths breaks throughput down per configuration (schema v2).
 	FastPaths []FastPath `json:"fast_paths,omitempty"`
 }
 

@@ -191,9 +191,9 @@ func (c *Capacitor) BackupCutoffNJ() float64 { return c.backupCutNJ }
 
 // RestoreEnergyNJ overwrites the stored energy with a value previously
 // derived from EnergyNJ() by replicating Harvest/Consume arithmetic outside
-// the capacitor. The simulator's specialized hot loops keep the charge in a
-// register (via EnergyNJ/CapacityNJ/BackupCutoffNJ) and write it back here
-// at power-cycle boundaries; e must follow the same clamp-at-capacity,
+// the capacitor. The simulator's loop keeps the charge in a local (via
+// EnergyNJ/CapacityNJ/BackupCutoffNJ) and writes it back here wherever
+// other code reads the capacitor; e must follow the same clamp-at-capacity,
 // floor-at-zero algebra or the voltage model is undefined.
 func (c *Capacitor) RestoreEnergyNJ(e float64) { c.energyNJ = e }
 

@@ -61,12 +61,6 @@ type Options struct {
 	// failure is marked transient, so a supervisor with retries re-runs the
 	// flagged cell before giving up.
 	Paranoid bool
-	// GenericLoop forces every cell through the generic interpreter loop
-	// (nvp.Config.DisableFastPaths): an A/B switch for validating the
-	// specialized fast paths, which are bit-identical by contract. It does
-	// not enter the cell's journal identity, so resumed sweeps replay
-	// regardless of which loop produced the journal.
-	GenericLoop bool
 	// Ctx, when non-nil, is the graceful-drain context: once cancelled
 	// (SIGINT/SIGTERM in cmd/experiments) no further cells are dispatched,
 	// in-flight cells finish and are journaled, and the sweep reports
@@ -160,9 +154,6 @@ type job struct {
 func (o Options) effective(cfg nvp.Config) nvp.Config {
 	if o.Paranoid {
 		cfg.Paranoid = true
-	}
-	if o.GenericLoop {
-		cfg.DisableFastPaths = true
 	}
 	if o.CellBudget > 0 && (cfg.MaxCycles == 0 || cfg.MaxCycles > o.CellBudget) {
 		cfg.MaxCycles = o.CellBudget

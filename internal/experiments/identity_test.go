@@ -16,9 +16,8 @@ import (
 // Config field cannot silently drop out of the cell key (which would let
 // stale journal and cache entries match fresh requests).
 var nonIdentityConfigFields = map[string]string{
-	"Tracer":           "observer: a traced re-run replays the same result",
-	"Metrics":          "observer: counters never alter simulated behaviour",
-	"DisableFastPaths": "loop selection is bit-identical by contract (golden-pinned)",
+	"Tracer":  "observer: a traced re-run replays the same result",
+	"Metrics": "observer: counters never alter simulated behaviour",
 }
 
 // identityFieldAliases maps Config field names to the ConfigIdentity field

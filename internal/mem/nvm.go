@@ -93,7 +93,7 @@ func (m *NVM) Write(kind AccessKind) (cycles uint64, nj energy.NJ) {
 }
 
 // ReadDemand is Read(DemandRead) without the kind dispatch — small enough
-// to inline into the simulator's specialized miss paths.
+// to inline into the simulator's miss paths.
 func (m *NVM) ReadDemand() (cycles uint64, nj energy.NJ) {
 	m.stats.DemandReads++
 	return m.params.ReadCycles, m.params.ReadNJ

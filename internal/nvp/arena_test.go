@@ -61,6 +61,8 @@ func TestZeroAllocRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := testTrace()
+	bufferMode := DefaultConfig()
+	bufferMode.PrefetchToCache = false
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -68,6 +70,7 @@ func TestZeroAllocRun(t *testing.T) {
 		{"default", DefaultConfig()},
 		{"ipex-both", DefaultConfig().WithIPEX()},
 		{"no-prefetch", DefaultConfig().WithoutPrefetch()},
+		{"buffer-mode", bufferMode},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := NewArena()

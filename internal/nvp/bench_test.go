@@ -18,21 +18,20 @@ func benchStream(b *testing.B, scale float64) *workload.Stream {
 	return st
 }
 
-// BenchmarkLoops compares the specialized fast loops against the generic
-// interpreter loop on identical configurations (the bit-identity of their
-// results is pinned by TestArenaRunStream and TestGoldenFastPaths; this
-// benchmark measures what the specialization buys).
+// BenchmarkLoops measures the simulator loop through a warmed arena, one
+// case per configuration the repository benchmark's sweeps run: the default
+// system, IPEX on both caches, no prefetching, and the paranoid invariant
+// checker (the sweep-checked cells).
 func BenchmarkLoops(b *testing.B) {
 	tr := power.Generate(power.RFHome, 200000, 1)
 	cases := []struct {
-		name    string
-		mut     func(*Config)
-		generic bool
+		name string
+		mut  func(*Config)
 	}{
-		{"fast", nil, false},
-		{"generic", nil, true},
-		{"fast-nopf", func(c *Config) { *c = c.WithoutPrefetch() }, false},
-		{"generic-nopf", func(c *Config) { *c = c.WithoutPrefetch() }, true},
+		{"default", nil},
+		{"ipex-both", func(c *Config) { *c = c.WithIPEX() }},
+		{"no-prefetch", func(c *Config) { *c = c.WithoutPrefetch() }},
+		{"paranoid", func(c *Config) { c.Paranoid = true }},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -40,7 +39,6 @@ func BenchmarkLoops(b *testing.B) {
 			if tc.mut != nil {
 				tc.mut(&cfg)
 			}
-			cfg.DisableFastPaths = tc.generic
 			st := benchStream(b, 1.0)
 			a := NewArena()
 			var insts uint64

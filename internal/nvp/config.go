@@ -151,15 +151,6 @@ type Config struct {
 	// behaviour — a violation is diagnosed, not repaired.
 	Paranoid bool
 
-	// DisableFastPaths forces the generic per-access interpreter loop even
-	// for configurations eligible for a specialized fast path (see
-	// fastloop.go). The fast paths are asserted bit-identical to the
-	// generic loop by the golden suite; this knob exists for that
-	// cross-check, for per-path benchmarking, and as an escape hatch while
-	// diagnosing a suspected fast-path divergence. Off (fast paths on) by
-	// default.
-	DisableFastPaths bool
-
 	// Profile enables the cycle/energy attribution profiler: every simulated
 	// cycle and every nanojoule drained from the capacitor is charged to a
 	// category (compute, miss stalls, checkpoint, restore, prefetch traffic,

@@ -14,9 +14,9 @@ import (
 // so a disabled fault layer is bit-identical to no fault layer at all.
 type faultRuntime struct {
 	stats  fault.Stats
-	sensor *fault.Sensor      // nil unless the sensor family is active
+	sensor *fault.Sensor       // nil unless the sensor family is active
 	ckpt   *fault.Checkpointer // nil unless the checkpoint family is active
-	harv   *fault.Harvester   // nil unless the harvest family is active
+	harv   *fault.Harvester    // nil unless the harvest family is active
 }
 
 // newFaultRuntime builds the injectors for one run, or returns nil when the
@@ -53,27 +53,6 @@ func (s *System) powerAt(t uint64) float64 {
 	return p
 }
 
-// observeSensor runs the IPEX observation through the faulted voltage
-// monitor: the true capacitor voltage goes through the ADC model and the
-// controllers see what it reports. This is the Observe (voltage-domain)
-// path — exact for an ideal sensor, and the only correct path once readings
-// no longer map one-to-one onto stored energy.
-func (s *System) observeSensor() {
-	v := s.flt.sensor.Read(s.cap.Voltage())
-	if s.cfg.ReissueOnExit {
-		for _, sd := range [2]*side{&s.inst, &s.data} {
-			before := sd.ctl.Degree()
-			sd.ctl.Observe(v)
-			if sd.ctl.Degree() > before {
-				s.reissueThrottled(sd)
-			}
-		}
-		return
-	}
-	s.inst.ctl.Observe(v)
-	s.data.ctl.Observe(v)
-}
-
 // checkpointWalk is the outage backup walk under checkpoint-write faults:
 // every attempt (torn or not) costs full NVM write energy and cycles; a
 // torn write is detected and retried up to the retry bound; a block that
@@ -85,7 +64,7 @@ func (s *System) checkpointWalk() (cycles uint64, nj float64) {
 	ck := s.flt.ckpt
 	st := &s.flt.stats
 	n := len(s.dirtyScratch)
-	var passC uint64  // cost of this pass's committed (not yet safe) writes
+	var passC uint64 // cost of this pass's committed (not yet safe) writes
 	var passNJ float64
 	rollbacks := 0
 	forced := false

@@ -166,7 +166,7 @@ func (s *Stream) Name() string { return s.name }
 func (s *Stream) Len() int { return len(s.accesses) }
 
 // Accesses returns the shared backing slice. Read-only: callers iterate it
-// directly (the simulator's fast loops do) but must never write to it.
+// directly (the simulator's loop does) but must never write to it.
 func (s *Stream) Accesses() []Access { return s.accesses }
 
 // Cursor returns a fresh replay cursor positioned at the start.
@@ -200,8 +200,8 @@ func (c *Cursor) Stream() *Stream { return c.stream }
 func (c *Cursor) Pos() int { return c.pos }
 
 // SetPos moves the replay position (clamped to [0, Len]); the simulator's
-// fast loops iterate the stream slice directly and re-synchronize the
-// cursor with it on exit.
+// loop iterates the stream slice directly and re-synchronizes the cursor
+// with it on exit.
 func (c *Cursor) SetPos(n int) {
 	if n < 0 {
 		n = 0
