@@ -9,14 +9,14 @@ import (
 // profile category as the simulator spends it, closes one CycleRecord per
 // power cycle, and keeps a chronological capacitor-drain ledger that is
 // bit-identical to the paranoid shadow ledger by construction — both
-// accumulate the identical applied-drain value sequence inside capConsume.
+// accumulate the identical applied-drain value sequence inside drain.
 //
 // Like the tracer, fault runtime, and paranoid checker, a nil *profiler
 // means profiling is off and every integration site costs one nil compare;
 // the profiler itself only observes (its wipe-sets are private bookkeeping),
 // so enabling it never changes a Result.
 type profiler struct {
-	rep profile.Report   // aggregate under construction (PowerCycles grows per flush)
+	rep profile.Report      // aggregate under construction (PowerCycles grows per flush)
 	cyc profile.CycleRecord // current power cycle's attribution
 
 	// recStart is the absolute cycle the current record began at.
@@ -59,10 +59,10 @@ func (p *profiler) energy(cat profile.EnergyCat, nj float64) {
 	p.cyc.EnergyNJ[cat] += nj
 }
 
-// noteDrain records one applied capacitor drain (the amount Consume
+// noteDrain records one applied capacitor drain (the amount drain
 // actually removed) in the per-cycle and whole-run ledgers. Called from
-// capConsume with exactly the value the paranoid shadow ledger adds, so the
-// two stay bitwise equal at every boundary.
+// drain with exactly the value the paranoid shadow ledger adds, so the two
+// stay bitwise equal at every boundary.
 func (p *profiler) noteDrain(applied float64) {
 	p.cyc.LedgerNJ += applied
 	p.rep.LedgerNJ += applied
