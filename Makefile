@@ -2,9 +2,8 @@
 # the individual targets exist for quick iteration.
 
 GO ?= go
-BENCH_JSON ?= BENCH_hotloop.json
 
-.PHONY: all build vet test race race-harness bench bench-gate bench-smoke golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke lint fuzz ci clean
+.PHONY: all build vet test race race-harness bench-compare bench-smoke golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke lint fuzz ci clean
 
 all: ci
 
@@ -29,19 +28,16 @@ race-harness:
 	$(GO) test -race -count=2 ./internal/harness ./internal/experiments ./internal/dist \
 		./internal/remote ./internal/faultnet
 
-# Regenerate the committed hot-loop record: the Fig10-class sweep benchmark
-# plus the raw simulator-throughput probe, which writes $(BENCH_JSON) via
-# bench_test.go when BENCH_HOTLOOP_JSON is set.
-bench:
-	BENCH_HOTLOOP_JSON=$(BENCH_JSON) $(GO) test -run=NONE \
-		-bench='BenchmarkFig10|BenchmarkSimulatorThroughput' -benchtime=10x ./...
-
-# Performance gate against the committed record: fails on a >10% hot-loop
-# throughput regression or any steady-state allocation. Regenerate the
-# record on the gating machine with `make bench` first — wall-clock
-# throughput does not transfer between machines.
-bench-gate:
-	IPEX_BENCH_GATE=1 $(GO) test -run TestBenchGate -count=1 .
+# Paired comparison of the working tree against BASE on the repository
+# benchmark: every BENCHMARK.json workload and BenchmarkLoops in 10 pairs
+# with alternated order. It fails when a median paired ratio is worse than
+# its bound, a run's output is wrong, or the change fails a larger share of
+# its work, and writes every run and verdict to OUT. It takes about 40
+# minutes and needs a BASE, so `ci` does not run it.
+bench-compare:
+	@[ -n "$(BASE)" ] && [ -n "$(OUT)" ] \
+		|| { echo "usage: make bench-compare BASE=<rev> OUT=BENCH_<slug>.json"; exit 2; }
+	$(GO) run ./cmd/benchcompare $(BASE) $(OUT)
 
 # The repository benchmark (bench/) is its own Go module, so `go build ./...`
 # and `go test ./...` at the root never compile it. Its tests keep a harness
@@ -254,8 +250,7 @@ fuzz:
 # Determinism lint: simulator internals must not read the wall clock (Now,
 # Since, After, Sleep, or timer construction) or the global math/rand stream
 # — both would break replayable, seed-stable results. The documented
-# exceptions: internal/benchio (benchmark records carry their generation
-# time), internal/harness/watchdog.go (the wall-clock cell backstop and
+# exceptions: internal/harness/watchdog.go (the wall-clock cell backstop and
 # retry backoff), internal/trace/clock.go (the one wall-clock Clock
 # implementation everything observable injects), internal/dist/clock.go
 # (the coordinator's context-aware poll sleep), internal/remote/clock.go
@@ -263,12 +258,12 @@ fuzz:
 # (blackhole hold timing). None of them touch simulated results.
 lint: vet
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' internal/ --include='*.go' \
-		| grep -v '^internal/benchio/' | grep -v '^internal/harness/watchdog\.go:' \
+		| grep -v '^internal/harness/watchdog\.go:' \
 		| grep -v '^internal/trace/clock\.go:' | grep -v '^internal/dist/clock\.go:' \
 		| grep -v '^internal/remote/clock\.go:' | grep -v '^internal/faultnet/clock\.go:' \
 		| grep -v '_test\.go'); \
 	if [ -n "$$bad" ]; then \
-		echo "lint: wall-clock use in simulator internals (only internal/benchio, the harness watchdog, and the per-package clock.go files may):"; \
+		echo "lint: wall-clock use in simulator internals (only the harness watchdog and the per-package clock.go files may):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"math/rand"' internal/ --include='*.go'); \
@@ -362,7 +357,7 @@ remote-smoke:
 		|| { echo "remote-smoke: dead fleet did not degrade to local:"; grep '^remote:' $$tmp/down.log; exit 1; }; \
 	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local; dead fleet degraded cleanly"
 
-ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke fuzz bench-gate bench-smoke
+ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke fuzz bench-smoke
 	$(GO) test -run=NONE -bench=BenchmarkFig10 -benchtime=1x ./...
 
 clean:

@@ -7,12 +7,8 @@
 package ipex
 
 import (
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
-	"ipex/internal/benchio"
 	"ipex/internal/experiments"
 )
 
@@ -134,155 +130,3 @@ func BenchmarkFig24VoltageSteps(b *testing.B) { benchRun(b, experiments.Fig24) }
 // BenchmarkFig25ThrottleRates regenerates Figure 25: the throttle-rate
 // trigger sweep (1–20%).
 func BenchmarkFig25ThrottleRates(b *testing.B) { benchRun(b, experiments.Fig25) }
-
-// BenchmarkSimulatorThroughput measures the raw simulator speed (committed
-// instructions per second) on the default configuration — the figure that
-// bounds every sweep above. Runs go through a per-benchmark Arena, the way
-// the sweep harness executes cells.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	trace := GenerateTrace(RFHome, 0, 1)
-	cfg := DefaultConfig()
-	ar := NewArena()
-	// Warm up outside the timed region: the first run generates and
-	// memoizes the gsme access stream and populates the arena — one-time
-	// costs that would otherwise bias short benchmark runs (the historical
-	// numbers at -benchtime=10x carried ~10% of stream generation).
-	if _, err := ar.Run("gsme", 1.0, trace, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		r, err := ar.Run("gsme", 1.0, trace, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += r.Insts
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
-
-	// With BENCH_HOTLOOP_JSON set (the Makefile's bench target), persist
-	// the hot-loop figures so performance travels with the commit. An
-	// existing record is updated in place — its experiment timings and
-	// notes (the seed baseline) are preserved.
-	if path := os.Getenv("BENCH_HOTLOOP_JSON"); path != "" {
-		perRun := insts / uint64(b.N)
-		nsPerRun := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := ar.Run("gsme", 1.0, trace, cfg); err != nil {
-			b.Fatal(err)
-		}
-		runtime.ReadMemStats(&m1)
-
-		rec := benchio.NewRecord()
-		if old, err := benchio.Read(path); err == nil {
-			rec.Scale = old.Scale
-			rec.Experiments = old.Experiments
-			rec.Notes = old.Notes
-		}
-		rec.Hotloop = &benchio.Hotloop{
-			App: "gsme", Scale: 1, Insts: perRun,
-			NsPerInst:    nsPerRun / float64(perRun),
-			InstsPerSec:  float64(insts) / b.Elapsed().Seconds(),
-			AllocsPerRun: int64(m1.Mallocs - m0.Mallocs),
-			BytesPerRun:  int64(m1.TotalAlloc - m0.TotalAlloc),
-			FastPaths:    loopConfigs(b, trace),
-		}
-		if err := benchio.Write(path, rec); err != nil {
-			b.Logf("writing %s: %v", path, err)
-		}
-	}
-}
-
-// loopConfigs measures the simulator loop under each configuration the
-// repository benchmark's sweeps run: the default system, IPEX on both
-// caches, no prefetching, and the paranoid invariant checker.
-func loopConfigs(tb testing.TB, trace *Trace) []benchio.FastPath {
-	paranoid := DefaultConfig()
-	paranoid.Paranoid = true
-	return []benchio.FastPath{
-		measureLoop(tb, "default", trace, DefaultConfig()),
-		measureLoop(tb, "ipex-both", trace, DefaultConfig().WithIPEX()),
-		measureLoop(tb, "no-prefetch", trace, DefaultConfig().WithoutPrefetch()),
-		measureLoop(tb, "paranoid", trace, paranoid),
-	}
-}
-
-// measureLoop times the simulator loop under one configuration through a
-// warmed arena.
-func measureLoop(tb testing.TB, name string, trace *Trace, cfg Config) benchio.FastPath {
-	ar := NewArena()
-	if _, err := ar.Run("gsme", 1.0, trace, cfg); err != nil {
-		tb.Fatal(err)
-	}
-	// Timed by hand: testing.Benchmark deadlocks when invoked from inside a
-	// running benchmark, and this helper serves both the bench's record
-	// writer and TestBenchGate.
-	const runs = 10
-	var insts uint64
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		r, err := ar.Run("gsme", 1.0, trace, cfg)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		insts = r.Insts
-	}
-	elapsed := time.Since(start)
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := ar.Run("gsme", 1.0, trace, cfg); err != nil {
-			tb.Fatal(err)
-		}
-	})
-	nsPerOp := float64(elapsed.Nanoseconds()) / runs
-	return benchio.FastPath{
-		Name:         name,
-		InstsPerSec:  float64(insts) * 1e9 / nsPerOp,
-		NsPerInst:    nsPerOp / float64(insts),
-		AllocsPerRun: int64(allocs),
-	}
-}
-
-// TestBenchGate fails when the live simulator regresses against the
-// committed BENCH_hotloop.json: default-configuration throughput more than
-// 10% below the recorded figure, or any steady-state allocation at all.
-// Wall-clock throughput is machine-dependent, so the gate is opt-in via
-// IPEX_BENCH_GATE=1 (`make bench-gate`) and only means something against a
-// record generated on a comparable machine (`make bench`).
-func TestBenchGate(t *testing.T) {
-	if os.Getenv("IPEX_BENCH_GATE") != "1" {
-		t.Skip("set IPEX_BENCH_GATE=1 (make bench-gate) to enable")
-	}
-	rec, err := benchio.Read("BENCH_hotloop.json")
-	if err != nil {
-		t.Fatalf("reading committed record (regenerate with `make bench`): %v", err)
-	}
-	if rec.Hotloop == nil {
-		t.Fatal("committed record has no hotloop section; regenerate with `make bench`")
-	}
-	trace := GenerateTrace(RFHome, 0, 1)
-
-	fp := measureLoop(t, "default", trace, DefaultConfig())
-	if fp.AllocsPerRun > 0 {
-		t.Errorf("steady-state run allocates %d times, want 0", fp.AllocsPerRun)
-	}
-	// Best of three against the 10%-regression floor: a shared machine
-	// swings individual measurements far more than a real regression, and
-	// a best-of can only hide noise, not a slowdown.
-	best := fp.InstsPerSec
-	floor := rec.Hotloop.InstsPerSec * 0.9
-	for i := 0; i < 2 && best < floor; i++ {
-		if again := measureLoop(t, "default", trace, DefaultConfig()); again.InstsPerSec > best {
-			best = again.InstsPerSec
-		}
-	}
-	if best < floor {
-		t.Errorf("throughput %.3gM insts/s is >10%% below the committed %.3gM insts/s",
-			best/1e6, rec.Hotloop.InstsPerSec/1e6)
-	}
-}

@@ -342,13 +342,6 @@ func printCycles(r nvp.Result, n int) {
 		min(n, len(r.PowerCycleLog)), len(r.PowerCycleLog), t.String())
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func nvpThresholds(k int, cfg nvp.Config) []float64 {
 	return core.ThresholdsFor(k, cfg.Capacitor.Vbackup, cfg.Capacitor.Von)
 }

@@ -1,3 +1,5 @@
+// Package benchio writes artifacts crash-safely: traces, metrics dumps,
+// profiles and result files reach their destination whole or not at all.
 package benchio
 
 import (

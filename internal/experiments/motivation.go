@@ -142,13 +142,6 @@ func Fig02(o Options) (*Fig02Result, error) {
 	return res, nil
 }
 
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // String renders the figure.
 func (r *Fig02Result) String() string {
 	var t stats.Table

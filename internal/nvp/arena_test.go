@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ipex/internal/fault"
 	"ipex/internal/prefetch"
 	"ipex/internal/workload"
 )
@@ -63,6 +64,10 @@ func TestZeroAllocRun(t *testing.T) {
 	tr := testTrace()
 	bufferMode := DefaultConfig()
 	bufferMode.PrefetchToCache = false
+	paranoid := DefaultConfig()
+	paranoid.Paranoid = true
+	reissue := DefaultConfig().WithIPEX()
+	reissue.ReissueOnExit = true
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -71,6 +76,8 @@ func TestZeroAllocRun(t *testing.T) {
 		{"ipex-both", DefaultConfig().WithIPEX()},
 		{"no-prefetch", DefaultConfig().WithoutPrefetch()},
 		{"buffer-mode", bufferMode},
+		{"paranoid", paranoid},
+		{"reissue-on-exit", reissue},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := NewArena()
@@ -110,6 +117,38 @@ func TestArenaRunStream(t *testing.T) {
 		}
 		if !reflect.DeepEqual(fresh, got) {
 			t.Fatalf("iteration %d: stream run diverged from fresh run", i)
+		}
+	}
+}
+
+// TestArenaParanoidReportsOutliveRuns pins that each paranoid Result keeps
+// its own invariant report: the arena's report slab never hands a slot to
+// a later run, across a slab refill too.
+func TestArenaParanoidReportsOutliveRuns(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Paranoid = true
+	a := NewArena()
+	var reps []*fault.Report
+	var want []fault.Report
+	for i := 0; i < 20; i++ {
+		r, err := a.Run(workload.MustNew("fft", 0.02+0.001*float64(i%3)), testTrace(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Invariants == nil || r.Invariants.Checks == 0 {
+			t.Fatalf("run %d: no invariant report", i)
+		}
+		reps = append(reps, r.Invariants)
+		want = append(want, *r.Invariants)
+	}
+	for i, rep := range reps {
+		if !reflect.DeepEqual(*rep, want[i]) {
+			t.Errorf("run %d's report changed after later runs: %+v, want %+v", i, *rep, want[i])
+		}
+		for j := 0; j < i; j++ {
+			if reps[j] == rep {
+				t.Errorf("runs %d and %d share one report", j, i)
+			}
 		}
 	}
 }

@@ -141,36 +141,40 @@ func (p *paranoid) endCycle(s *System, insts uint64) {
 }
 
 // finalChecks replays the offline accounting invariants on the finished
-// run's counters.
+// run's counters. A violation's arguments are boxed only when its check
+// fails, so a clean run allocates nothing here.
 func (p *paranoid) finalChecks(s *System, r *Result) {
-	check := func(ok bool, name, format string, args ...any) {
+	fails := func(ok bool) bool {
 		p.rep.Checks++
-		if !ok {
-			p.rep.Add(name, s.now, s.pcIdx, format, args...)
+		return !ok
+	}
+	add := func(name, format string, args ...any) { p.rep.Add(name, s.now, s.pcIdx, format, args...) }
+
+	if fails(r.Cycles == r.OnCycles+r.OffCycles) {
+		add("cycle_split", "cycles %d != on %d + off %d", r.Cycles, r.OnCycles, r.OffCycles)
+	}
+
+	issued := r.Inst.PrefetchIssued + r.Data.PrefetchIssued
+	if fails(r.NVM.PrefetchReads == issued) {
+		add("prefetch_ledger", "NVM prefetch reads %d != issued %d", r.NVM.PrefetchReads, issued)
+	}
+
+	for _, sd := range [2]*SideStats{&r.Inst, &r.Data} {
+		if fails(sd.Buffer.UsefulEvicted+sd.Buffer.UselessEvicted == sd.Buffer.Inserted) {
+			add("buffer_classification", "useful %d + useless %d != inserted %d",
+				sd.Buffer.UsefulEvicted, sd.Buffer.UselessEvicted, sd.Buffer.Inserted)
+		}
+		if fails(sd.Cache.Misses <= sd.Cache.Accesses) {
+			add("cache_counts", "misses %d > accesses %d", sd.Cache.Misses, sd.Cache.Accesses)
 		}
 	}
 
-	check(r.Cycles == r.OnCycles+r.OffCycles, "cycle_split",
-		"cycles %d != on %d + off %d", r.Cycles, r.OnCycles, r.OffCycles)
-
-	issued := r.Inst.PrefetchIssued + r.Data.PrefetchIssued
-	check(r.NVM.PrefetchReads == issued, "prefetch_ledger",
-		"NVM prefetch reads %d != issued %d", r.NVM.PrefetchReads, issued)
-
-	for _, sd := range [2]*SideStats{&r.Inst, &r.Data} {
-		check(sd.Buffer.UsefulEvicted+sd.Buffer.UselessEvicted == sd.Buffer.Inserted,
-			"buffer_classification",
-			"useful %d + useless %d != inserted %d",
-			sd.Buffer.UsefulEvicted, sd.Buffer.UselessEvicted, sd.Buffer.Inserted)
-		check(sd.Cache.Misses <= sd.Cache.Accesses, "cache_counts",
-			"misses %d > accesses %d", sd.Cache.Misses, sd.Cache.Accesses)
-	}
-
 	e := r.Energy
-	check(e.Cache >= 0 && e.Memory >= 0 && e.Compute >= 0 && e.BkRst >= 0 && e.Total() > 0,
-		"energy_sign", "negative bucket or zero total in %+v", e)
-	if s.cfg.Ideal {
-		check(e.BkRst == 0, "ideal_bkrst", "ideal run spent %.3f nJ on backup/restore", e.BkRst)
+	if fails(e.Cache >= 0 && e.Memory >= 0 && e.Compute >= 0 && e.BkRst >= 0 && e.Total() > 0) {
+		add("energy_sign", "negative bucket or zero total in %+v", e)
+	}
+	if s.cfg.Ideal && fails(e.BkRst == 0) {
+		add("ideal_bkrst", "ideal run spent %.3f nJ on backup/restore", e.BkRst)
 	}
 
 	// Checkpoint traffic is bounded by what the data cache can hold per
@@ -182,37 +186,40 @@ func (p *paranoid) finalChecks(s *System, r *Result) {
 		if s.flt != nil {
 			writes -= s.flt.stats.CheckpointWriteFailures + s.flt.stats.CheckpointDiscarded
 		}
-		check(writes <= maxDirty, "checkpoint_traffic",
-			"net checkpoint writes %d exceed %d outages x dirty capacity (%d)",
-			writes, r.Outages, maxDirty)
+		if fails(writes <= maxDirty) {
+			add("checkpoint_traffic", "net checkpoint writes %d exceed %d outages x dirty capacity (%d)",
+				writes, r.Outages, maxDirty)
+		}
 	}
 
-	if !(s.cfg.IPEXInst || s.cfg.IPEXData) {
-		check(r.Inst.PrefetchThrottled == 0 && r.Data.PrefetchThrottled == 0,
-			"throttle_without_ipex", "throttled %d/%d prefetches with IPEX detached",
+	if !(s.cfg.IPEXInst || s.cfg.IPEXData) && fails(r.Inst.PrefetchThrottled == 0 && r.Data.PrefetchThrottled == 0) {
+		add("throttle_without_ipex", "throttled %d/%d prefetches with IPEX detached",
 			r.Inst.PrefetchThrottled, r.Data.PrefetchThrottled)
 	}
 
-	check(!r.Completed || r.Insts == uint64(s.wl.Len()), "lost_instructions",
-		"completed run committed %d of %d instructions", r.Insts, s.wl.Len())
+	if fails(!r.Completed || r.Insts == uint64(s.wl.Len())) {
+		add("lost_instructions", "completed run committed %d of %d instructions", r.Insts, s.wl.Len())
+	}
 
 	// Attribution cross-checks (Config.Profile + Config.Paranoid): cycles
 	// and the drain ledger must agree exactly; only the per-category energy
 	// split is allowed float64 reassociation slack against the ledger.
 	if pr := r.Profile; pr != nil {
 		p.rep.LedgerNJ = p.totalDrainedNJ
-		check(pr.TotalCycles == r.Cycles && pr.CycleTotal() == r.Cycles,
-			"profile_cycle_total",
-			"profiler cycles %d (categories sum %d) != run cycles %d",
-			pr.TotalCycles, pr.CycleTotal(), r.Cycles)
-		check(pr.Insts == r.Insts, "profile_insts",
-			"profiler insts %d != run insts %d", pr.Insts, r.Insts)
-		check(pr.LedgerNJ == p.totalDrainedNJ, "profile_ledger",
-			"profiler drain ledger %.9f nJ != shadow ledger %.9f nJ",
-			pr.LedgerNJ, p.totalDrainedNJ)
+		if fails(pr.TotalCycles == r.Cycles && pr.CycleTotal() == r.Cycles) {
+			add("profile_cycle_total", "profiler cycles %d (categories sum %d) != run cycles %d",
+				pr.TotalCycles, pr.CycleTotal(), r.Cycles)
+		}
+		if fails(pr.Insts == r.Insts) {
+			add("profile_insts", "profiler insts %d != run insts %d", pr.Insts, r.Insts)
+		}
+		if fails(pr.LedgerNJ == p.totalDrainedNJ) {
+			add("profile_ledger", "profiler drain ledger %.9f nJ != shadow ledger %.9f nJ",
+				pr.LedgerNJ, p.totalDrainedNJ)
+		}
 		et := pr.EnergyTotalNJ()
-		check(math.Abs(et-pr.LedgerNJ) <= balanceTol(et, pr.LedgerNJ, 0, 0),
-			"profile_energy_split",
-			"energy categories sum %.9f nJ, drain ledger %.9f nJ", et, pr.LedgerNJ)
+		if fails(math.Abs(et-pr.LedgerNJ) <= balanceTol(et, pr.LedgerNJ, 0, 0)) {
+			add("profile_energy_split", "energy categories sum %.9f nJ, drain ledger %.9f nJ", et, pr.LedgerNJ)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"ipex/internal/capacitor"
 	"ipex/internal/core"
 	"ipex/internal/energy"
+	"ipex/internal/fault"
 	"ipex/internal/mem"
 	"ipex/internal/power"
 	"ipex/internal/prefetch"
@@ -143,6 +144,11 @@ type System struct {
 	flt  *faultRuntime
 	par  *paranoid
 	prof *profiler
+	// parState backs par, so the checker lives wherever the System does.
+	// reports is the slab each paranoid Result's own report is carved
+	// from: a warm Arena allocates one slab of 16 per 16 paranoid runs.
+	parState paranoid
+	reports  []fault.Report
 	// ledgered caches par != nil || prof != nil: some observer keeps a
 	// drain ledger, so drain reports every applied drain.
 	ledgered bool
@@ -319,10 +325,11 @@ func newSystem(a *Arena, wl workload.Generator, trace *power.Trace, cfg Config) 
 	var instSlot, dataSlot *sideSlot
 	var prevInst, prevData *side
 	var prevDirty []uint64
+	var prevReports []fault.Report
 	if a != nil {
 		instSlot, dataSlot = &a.instSlot, &a.dataSlot
 		prevInst, prevData = &a.sys.inst, &a.sys.data
-		prevDirty = a.sys.dirtyScratch
+		prevDirty, prevReports = a.sys.dirtyScratch, a.sys.reports
 	}
 	is, err := buildSide(instSlot, prevInst, "icache", cfg.ICacheSize, cfg.IPrefetcher, cfg.IPrefetcherFactory, cfg.IPEXInst)
 	if err != nil {
@@ -370,6 +377,7 @@ func newSystem(a *Arena, wl workload.Generator, trace *power.Trace, cfg Config) 
 		maxCycles: maxCycles,
 
 		dirtyScratch: prevDirty[:0],
+		reports:      prevReports,
 
 		leakCacheNJ:   energy.LeakNJPerCycle(is.params.LeakMW) + energy.LeakNJPerCycle(ds.params.LeakMW),
 		leakMemNJ:     energy.LeakNJPerCycle(cfg.NVM.LeakMW),
@@ -388,7 +396,8 @@ func newSystem(a *Arena, wl workload.Generator, trace *power.Trace, cfg Config) 
 	// the defined start-of-power-cycle state.
 	s.cap.SetVoltage(cfg.Capacitor.Von)
 	if cfg.Paranoid {
-		s.par = &paranoid{cycleStartE: s.cap.EnergyNJ()}
+		s.parState.cycleStartE = s.cap.EnergyNJ()
+		s.par = &s.parState
 	}
 	if cfg.Profile {
 		s.prof = newProfiler()
@@ -977,7 +986,7 @@ candidates:
 					}
 				}
 				if len(sd.throttledQ) == throttledQCap {
-					sd.throttledQ = sd.throttledQ[1:]
+					sd.throttledQ = sd.throttledQ[:copy(sd.throttledQ, sd.throttledQ[1:])]
 				}
 				sd.throttledQ = append(sd.throttledQ, b)
 			}
@@ -992,9 +1001,10 @@ candidates:
 // which is returned.
 func (s *System) reissueThrottled(sd *side, pMemory float64) float64 {
 	memSize := uint64(s.cfg.NVM.SizeBytes)
-	for len(sd.throttledQ) > 0 {
-		b := sd.throttledQ[0]
-		sd.throttledQ = sd.throttledQ[1:]
+	// The queue is consumed in place, so its backing array is reused.
+	n := 0
+	for ; n < len(sd.throttledQ); n++ {
+		b := sd.throttledQ[n]
 		if b >= memSize || sd.cache.Contains(b) {
 			continue
 		}
@@ -1003,9 +1013,7 @@ func (s *System) reissueThrottled(sd *side, pMemory float64) float64 {
 				continue
 			}
 			if len(sd.inflight) >= s.cfg.PrefetchBufEntries {
-				// No staging slot: put it back and stop for now.
-				sd.throttledQ = append([]uint64{b}, sd.throttledQ...)
-				return pMemory
+				break // no staging slot: keep it queued and stop for now
 			}
 		} else if sd.buf.Lookup(b) != nil {
 			continue
@@ -1031,6 +1039,7 @@ func (s *System) reissueThrottled(sd *side, pMemory float64) float64 {
 				Side: sd.name, Block: b, Detail: "reissue"})
 		}
 	}
+	sd.throttledQ = sd.throttledQ[:copy(sd.throttledQ, sd.throttledQ[n:])]
 	return pMemory
 }
 
@@ -1282,8 +1291,12 @@ func (s *System) result(completed bool) Result {
 	}
 	if s.par != nil {
 		s.par.finalChecks(s, &r)
-		rep := s.par.rep
-		r.Invariants = &rep
+		if len(s.reports) == 0 {
+			s.reports = make([]fault.Report, 16)
+		}
+		s.reports[0] = s.par.rep
+		r.Invariants = &s.reports[0]
+		s.reports = s.reports[1:]
 	}
 	return r
 }

@@ -100,15 +100,6 @@ func (s *Store) Get(name string, scale float64) (Generator, error) {
 	return st.Cursor(), nil
 }
 
-// MustGet is Get for app names known to be valid.
-func (s *Store) MustGet(name string, scale float64) Generator {
-	g, err := s.Get(name, scale)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Len reports how many distinct (app, scale) streams are memoized.
 func (s *Store) Len() int {
 	s.mu.Lock()
