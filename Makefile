@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-harness bench-compare bench-smoke golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke lint fuzz ci clean
+.PHONY: all build vet test race race-harness bench-compare bench-smoke golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke lint fuzz ci clean
 
 all: ci
 
@@ -20,12 +20,11 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the crash-safety layer (worker pool, supervisor,
-# journal, cell plumbing), the distributed executor built on it, and the
-# remote-execution client + chaos proxy (hedge races, breaker transitions,
-# concurrent fault injection). `make race` covers these too; this is the
+# journal, cell plumbing) and the remote-execution client + chaos proxy
+# (hedge races, breaker transitions, concurrent fault injection). `make race` covers these too; this is the
 # quick iteration loop while touching the harness.
 race-harness:
-	$(GO) test -race -count=2 ./internal/harness ./internal/experiments ./internal/dist \
+	$(GO) test -race -count=2 ./internal/harness ./internal/experiments \
 		./internal/remote ./internal/faultnet
 
 # Paired comparison of the working tree against BASE on the repository
@@ -138,49 +137,6 @@ ipexd-smoke:
 	fi; \
 	echo "ipexd-smoke: miss-then-hit byte-identical; SIGINT drained cleanly"
 
-# Distributed smoke: a real coordinator sharding a sweep over two real
-# worker processes, one of which is SIGKILLed mid-sweep. The coordinator
-# must reshard the dead worker's cells, finish, and print output
-# byte-identical to the serial golden — and a -resume of the merged journal
-# must re-execute zero cells.
-dist-smoke:
-	@tmp=$$(mktemp -d); w1=; w2=; \
-	trap 'kill -9 $$w1 $$w2 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/experiments ./cmd/experiments || exit 1; \
-	args="-exp fig11 -scale 0.02 -apps fft,gsme -json"; \
-	$$tmp/experiments $$args >$$tmp/golden.json || exit 1; \
-	$$tmp/experiments $$args -worker -listen 127.0.0.1:0 2>$$tmp/w1.log & w1=$$!; \
-	$$tmp/experiments $$args -worker -listen 127.0.0.1:0 2>$$tmp/w2.log & w2=$$!; \
-	a1=""; a2=""; i=0; while [ $$i -lt 100 ]; do \
-		a1=$$(sed -n 's#^worker listening on \(http://[^ ]*\).*#\1#p' $$tmp/w1.log); \
-		a2=$$(sed -n 's#^worker listening on \(http://[^ ]*\).*#\1#p' $$tmp/w2.log); \
-		[ -n "$$a1" ] && [ -n "$$a2" ] && break; \
-		sleep 0.1; i=$$((i+1)); done; \
-	[ -n "$$a1" ] && [ -n "$$a2" ] \
-		|| { echo "dist-smoke: workers never announced their addresses"; cat $$tmp/w1.log $$tmp/w2.log; exit 1; }; \
-	$$tmp/experiments $$args -coordinator "$$a1,$$a2" -journal $$tmp/merged.jsonl \
-		-dist-poll 25ms -dist-timeout 500ms -dist-retries 2 \
-		>$$tmp/dist.json 2>$$tmp/coord.log & cpid=$$!; \
-	i=0; while [ $$i -lt 200 ]; do \
-		n=$$(wc -l 2>/dev/null <$$tmp/merged.jsonl) || n=0; \
-		[ "$$n" -ge 2 ] && break; \
-		kill -0 $$cpid 2>/dev/null || break; \
-		sleep 0.05; i=$$((i+1)); done; \
-	kill -9 $$w1 2>/dev/null; \
-	wait $$cpid; status=$$?; \
-	if [ $$status -ne 0 ]; then \
-		echo "dist-smoke: coordinator exited $$status"; cat $$tmp/coord.log; exit 1; \
-	fi; \
-	diff -u $$tmp/golden.json $$tmp/dist.json \
-		|| { echo "dist-smoke: distributed output differs from serial golden"; cat $$tmp/coord.log; exit 1; }; \
-	$$tmp/experiments $$args -journal $$tmp/merged.jsonl -resume \
-		>$$tmp/resumed.json 2>$$tmp/resume.log || { cat $$tmp/resume.log; exit 1; }; \
-	diff -u $$tmp/golden.json $$tmp/resumed.json \
-		|| { echo "dist-smoke: resume of the merged journal differs from golden"; exit 1; }; \
-	grep -q 'supervision: 0 cell(s) executed' $$tmp/resume.log \
-		|| { echo "dist-smoke: resume re-executed cells the fleet completed:"; cat $$tmp/resume.log; exit 1; }; \
-	echo "dist-smoke: fleet survived a SIGKILL; merged output and resume byte-identical to serial"
-
 # Observability smoke: a real sweep under -listen and a real ipexd, scraped
 # live over HTTP. The sweep's /metrics must expose the cell-lifecycle
 # latency histograms and render through ipextop; its -json output must stay
@@ -237,9 +193,9 @@ obs-smoke:
 
 # Short fuzzing passes over the untrusted-input surfaces: the simulator
 # configuration validator, the harvest-trace parser, the journal line
-# parser behind -resume and the distributed segment merge, and the /v1/run
-# request decoder every ipexd exposes to the network. `go test -fuzz`
-# accepts one target per invocation, hence one line each.
+# parser behind -resume, and the /v1/run request decoder every ipexd
+# exposes to the network. `go test -fuzz` accepts one target per
+# invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) ./internal/nvp/
@@ -252,15 +208,14 @@ fuzz:
 # — both would break replayable, seed-stable results. The documented
 # exceptions: internal/harness/watchdog.go (the wall-clock cell backstop and
 # retry backoff), internal/trace/clock.go (the one wall-clock Clock
-# implementation everything observable injects), internal/dist/clock.go
-# (the coordinator's context-aware poll sleep), internal/remote/clock.go
+# implementation everything observable injects), internal/remote/clock.go
 # (backoff sleeps and the hedge timer), and internal/faultnet/clock.go
 # (blackhole hold timing). None of them touch simulated results.
 lint: vet
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' internal/ --include='*.go' \
 		| grep -v '^internal/harness/watchdog\.go:' \
-		| grep -v '^internal/trace/clock\.go:' | grep -v '^internal/dist/clock\.go:' \
-		| grep -v '^internal/remote/clock\.go:' | grep -v '^internal/faultnet/clock\.go:' \
+		| grep -v '^internal/trace/clock\.go:' | grep -v '^internal/remote/clock\.go:' \
+		| grep -v '^internal/faultnet/clock\.go:' \
 		| grep -v '_test\.go'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint: wall-clock use in simulator internals (only the harness watchdog and the per-package clock.go files may):"; \
@@ -272,9 +227,9 @@ lint: vet
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"net/http"\|"expvar"' internal/ *.go --include='*.go' \
-		| grep -v '^internal/dist/' | grep -v '^internal/remote/'); \
+		| grep -v '^internal/remote/'); \
 	if [ -n "$$bad" ]; then \
-		echo "lint: net/http or expvar outside cmd/, internal/dist, and internal/remote (servers and process vars belong to the command layer; the dist executor and the fleet client are the two libraries whose job is the wire):"; \
+		echo "lint: net/http or expvar outside cmd/ and internal/remote (servers and process vars belong to the command layer; the fleet client is the one library whose job is the wire):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' cmd/ --include='*.go' \
@@ -297,8 +252,9 @@ lint: vet
 # sweep output must stay byte-identical to the purely local golden, with
 # zero failed cells, and the remote summary must show the resilience
 # machinery actually fired (hedges under blackholes, remote cells despite
-# the kill). A second pass against a dead fleet must degrade every cell to
-# local execution — same bytes again.
+# the kill). A local -resume of the chaos sweep's journal must then re-execute
+# zero cells and print the same bytes. A last pass against a dead fleet must
+# degrade every cell to local execution — same bytes again.
 remote-smoke:
 	@tmp=$$(mktemp -d); d1=; d2=; f1=; f2=; \
 	trap 'kill -9 $$d1 $$d2 $$f1 $$f2 2>/dev/null; rm -rf "$$tmp"' EXIT; \
@@ -348,6 +304,12 @@ remote-smoke:
 		|| { echo "remote-smoke: chaos sweep failed cells:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
 	grep -Eq ' hedges=[1-9]' $$tmp/sweep.log \
 		|| { echo "remote-smoke: blackholes never triggered a hedge:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
+	$$tmp/experiments $$args -journal $$tmp/sweep.jsonl -resume \
+		>$$tmp/resumed.json 2>$$tmp/resume.log || { cat $$tmp/resume.log; exit 1; }; \
+	diff -u $$tmp/golden.json $$tmp/resumed.json \
+		|| { echo "remote-smoke: local resume of the fleet journal differs from golden"; exit 1; }; \
+	grep -q 'supervision: 0 cell(s) executed' $$tmp/resume.log \
+		|| { echo "remote-smoke: resume re-executed cells the fleet completed:"; cat $$tmp/resume.log; exit 1; }; \
 	$$tmp/experiments $$args -servers http://127.0.0.1:1 -remote-retries 1 \
 		>$$tmp/down.json 2>$$tmp/down.log \
 		|| { echo "remote-smoke: dead-fleet sweep failed"; cat $$tmp/down.log; exit 1; }; \
@@ -355,9 +317,9 @@ remote-smoke:
 		|| { echo "remote-smoke: dead-fleet sweep output differs from local golden"; exit 1; }; \
 	grep -Eq '^remote: cells=0 (fallback=[1-9]|fallback=0 unroutable=[1-9])' $$tmp/down.log \
 		|| { echo "remote-smoke: dead fleet did not degrade to local:"; grep '^remote:' $$tmp/down.log; exit 1; }; \
-	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local; dead fleet degraded cleanly"
+	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local; its resume executed 0 cells; dead fleet degraded cleanly"
 
-ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke fuzz bench-smoke
+ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke fuzz bench-smoke
 	$(GO) test -run=NONE -bench=BenchmarkFig10 -benchtime=1x ./...
 
 clean:

@@ -31,7 +31,6 @@ import (
 
 	"ipex/cmd/internal/httpd"
 	"ipex/internal/benchio"
-	"ipex/internal/dist"
 	"ipex/internal/experiments"
 	"ipex/internal/harness"
 	"ipex/internal/remote"
@@ -40,6 +39,17 @@ import (
 )
 
 type runner func(experiments.Options) (fmt.Stringer, error)
+
+// splitList parses a comma-separated flag value, trimming blanks.
+func splitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 func wrap[T fmt.Stringer](f func(experiments.Options) (T, error)) runner {
 	return func(o experiments.Options) (fmt.Stringer, error) {
@@ -128,13 +138,6 @@ func main() {
 
 		telemetryLinger = flag.Duration("telemetry-linger", 0, "keep the -listen telemetry server up this long after the sweep finishes (so scrapers catch the final state; used by make obs-smoke)")
 
-		worker       = flag.Bool("worker", false, "run as a distributed sweep worker: serve shard assignments on -listen, execute only assigned cells, stream journal entries to the coordinator (see EXPERIMENTS.md)")
-		coordinator  = flag.String("coordinator", "", "comma-separated worker base URLs (http://host:port); shard the sweep across them and merge their journal streams into -journal")
-		distPoll     = flag.Duration("dist-poll", 200*time.Millisecond, "coordinator health-check and journal-pull interval")
-		distTimeout  = flag.Duration("dist-timeout", 5*time.Second, "per-request deadline for coordinator→worker calls")
-		distRetries  = flag.Int("dist-retries", 3, "consecutive failed health checks before a worker is declared dead and its shard re-assigned to survivors")
-		distStealMin = flag.Int("dist-steal-min", 4, "minimum remaining cells a straggler must hold before an idle worker steals the tail half of them")
-
 		servers         = flag.String("servers", "", "comma-separated ipexd base URLs (http://host:port); remotable cells execute on the fleet behind retries, hedging, and per-server circuit breakers, and degrade to local simulation when the fleet cannot answer")
 		remoteRetries   = flag.Int("remote-retries", 3, "fleet attempts per cell beyond the first before degrading to local execution")
 		remoteTimeout   = flag.Duration("remote-timeout", 15*time.Second, "per-attempt HTTP deadline for fleet requests")
@@ -173,22 +176,6 @@ func main() {
 	}
 	if *resume && *journalPath == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -resume needs -journal <file> (the journal to replay)")
-		os.Exit(1)
-	}
-	if *worker && *coordinator != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -worker and -coordinator are mutually exclusive (a process is one or the other)")
-		os.Exit(1)
-	}
-	if *worker && *listenAddr == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -worker needs -listen <addr> (the coordinator connects there)")
-		os.Exit(1)
-	}
-	if *worker && *resume {
-		fmt.Fprintln(os.Stderr, "experiments: -resume is coordinator-side; a worker holds no authoritative journal (its -journal, if any, is a local segment)")
-		os.Exit(1)
-	}
-	if *coordinator != "" && *journalPath == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -coordinator needs -journal <file> (the authoritative merged journal)")
 		os.Exit(1)
 	}
 	if *servers == "" {
@@ -378,8 +365,7 @@ func main() {
 
 	// The sweep hash covers everything that changes any cell's identity; a
 	// -resume against a journal hashed from a different command line is
-	// rejected before a single cell runs, and a worker whose command line
-	// hashes differently from its coordinator's rejects every assignment.
+	// rejected before a single cell runs.
 	appsList := o.Apps
 	if len(appsList) == 0 {
 		appsList = workload.Names()
@@ -393,9 +379,7 @@ func main() {
 		CellBudget:  *cellBudget,
 	})
 
-	// journal is the durable journal of this process: authoritative for a
-	// serial or coordinator run, a local segment for a worker. sup.Journal
-	// may wrap it (worker mode tees into the coordinator-facing log).
+	// journal is the durable journal of this sweep.
 	var journal *harness.Journal
 	if *journalPath != "" {
 		if *resume {
@@ -427,36 +411,11 @@ func main() {
 		defer journal.Close()
 	}
 
-	// Coordinator mode: shard the sweep across the fleet and merge worker
-	// journal streams into the authoritative journal before rendering.
-	var coord *dist.Coordinator
-	if *coordinator != "" {
-		merger := dist.NewMerger(journal, sup.Replay)
-		// The rendering pass below replays everything the fleet computed;
-		// the merger extends the same map the resume path seeded.
-		sup.Replay = merger.Replay()
-		coord = dist.NewCoordinator(dist.Options{
-			Workers:     splitList(*coordinator),
-			Sweep:       sweepKey,
-			Merger:      merger,
-			Poll:        *distPoll,
-			Timeout:     *distTimeout,
-			MaxFailures: *distRetries,
-			StealMin:    *distStealMin,
-			Logf: func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", a...)
-			},
-			Clock:   telClock,
-			Metrics: o.Metrics,
-		})
-	}
-
 	// telemetryShutdown drains the -listen server on every exit path after
 	// the sweep: a bare http.Serve would leave the listener up through the
 	// SIGINT drain and let one stalled client pin a goroutine forever.
-	// (A -worker process serves the dist protocol on -listen instead.)
 	telemetryShutdown := func() {}
-	if *listenAddr != "" && !*worker {
+	if *listenAddr != "" {
 		o.Progress = &experiments.Progress{}
 		ln, err := net.Listen("tcp", *listenAddr)
 		if err != nil {
@@ -464,7 +423,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry listening on http://%s/metrics\n", ln.Addr())
-		srv := httpd.New(newTelemetryHandlerDist(telClock, o.Progress, o.Metrics, sup, coord, rc))
+		srv := httpd.New(newTelemetryHandler(telClock, o.Progress, o.Metrics, sup, rc))
 		telemetryShutdown = func() {
 			if err := httpd.Shutdown(srv, 2*time.Second); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: telemetry shutdown: %v\n", err)
@@ -475,28 +434,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: telemetry server: %v\n", err)
 			}
 		}()
-	}
-
-	if *worker {
-		os.Exit(runWorker(o, sup, ids, sweepKey, *listenAddr, journal, drainCtx))
-	}
-
-	if coord != nil {
-		fmt.Fprintf(os.Stderr, "coordinating %d worker(s) for sweep %s\n", len(splitList(*coordinator)), sweepKey)
-		switch err := coord.Run(drainCtx); {
-		case err == nil:
-			s := coord.Snapshot()
-			fmt.Fprintf(os.Stderr, "fleet complete: %d cell(s) merged, %d duplicate(s) dropped, %d range(s)/key(s) re-sharded, %d cell(s) stolen, %d worker death(s)\n",
-				s.Merged, s.Duplicates, s.Resharded, s.Stolen, s.DeadWorkers)
-		case errors.Is(err, context.Canceled):
-			// SIGINT drain: the rendering loop below sees the cancelled
-			// context immediately and exits 130 with a resumable journal.
-			fmt.Fprintln(os.Stderr, "experiments: coordinator interrupted; the merged journal is resumable")
-		default:
-			// ErrNoWorkers or a broken fleet: the sweep is not lost — the
-			// rendering pass replays whatever merged and simulates the rest.
-			fmt.Fprintf(os.Stderr, "experiments: %v; continuing with local execution\n", err)
-		}
 	}
 
 	// §6.1's overhead analysis is pure arithmetic; print it with -all.

@@ -1,0 +1,56 @@
+package main
+
+import (
+	"sort"
+	"sync"
+	"testing"
+
+	"ipex/internal/experiments"
+	"ipex/internal/nvp"
+	"ipex/internal/power"
+	"ipex/internal/remote"
+)
+
+// TestEveryRegisteredCellIsRemotable runs every registered experiment at a
+// tiny scale and requires remote.EncodeCell to put each keyed cell on the
+// wire, so a -servers sweep leaves no cell simulating on the client.
+func TestEveryRegisteredCellIsRemotable(t *testing.T) {
+	ids := make([]string, 0, len(registry))
+	for id := range registry {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+
+	var (
+		mu       sync.Mutex
+		encoded  int
+		declined = map[string]int{}
+	)
+	for _, id := range ids {
+		o := experiments.Options{
+			Scale: 0.01,
+			Apps:  []string{"fft", "gsme"},
+			RemoteEncode: func(app string, scale float64, tr *power.Trace, seed uint64, cfg nvp.Config, key string) []byte {
+				body := remote.EncodeCell(app, scale, tr, seed, cfg, key)
+				mu.Lock()
+				defer mu.Unlock()
+				if body == nil {
+					declined[id]++
+				} else {
+					encoded++
+				}
+				return body
+			},
+		}
+		if _, err := registry[id](o); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if len(declined) > 0 {
+		t.Fatalf("EncodeCell declined keyed cells (per experiment): %v", declined)
+	}
+	if encoded == 0 {
+		t.Fatal("no cell reached the encoder; the test proved nothing")
+	}
+	t.Logf("%d keyed cells across %d experiments, all remotable", encoded, len(ids))
+}

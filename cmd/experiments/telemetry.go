@@ -1,14 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
 
-	"ipex/internal/dist"
 	"ipex/internal/experiments"
 	"ipex/internal/harness"
 	"ipex/internal/remote"
@@ -16,9 +14,9 @@ import (
 )
 
 // telemetry serves a running sweep's live state: Prometheus text exposition
-// on /metrics (sweep progress gauges + the shared metrics registry), the
-// aggregated fleet view as JSON on /dist/v1/fleet (coordinator only), and Go
-// expvar on /debug/vars. The sweep itself never blocks on a scrape — the
+// on /metrics (sweep progress gauges, the remote client's per-server series
+// under -servers, and the shared metrics registry) and Go expvar on
+// /debug/vars. The sweep itself never blocks on a scrape — the
 // handlers only read atomic counters — and results are unaffected by whether
 // anyone is listening. The clock is injected so the only wall-time read in
 // the sweep path stays inside trace.NewWallClock; its epoch is construction
@@ -28,7 +26,6 @@ type telemetry struct {
 	prog   *experiments.Progress
 	reg    *trace.Registry
 	sup    *harness.Supervisor
-	coord  *dist.Coordinator
 	remote *remote.Client
 }
 
@@ -56,19 +53,11 @@ var (
 )
 
 // newTelemetryHandler builds the HTTP handler for -listen. sup may be nil
-// (unsupervised sweep); the supervision gauges then read zero.
-func newTelemetryHandler(clock trace.Clock, prog *experiments.Progress, reg *trace.Registry, sup *harness.Supervisor) http.Handler {
-	return newTelemetryHandlerDist(clock, prog, reg, sup, nil, nil)
-}
-
-// newTelemetryHandlerDist additionally exports the fleet when the sweep runs
-// under a distributed coordinator (nil otherwise): merge/dedup totals,
-// re-shard and steal counts, and per-worker liveness, throughput, and
-// straggler flags — as typed ipex_fleet_* series on /metrics and as JSON on
-// /dist/v1/fleet. rc, when non-nil, adds the remote-execution client's
-// per-server series (ipex_remote_breaker_state and friends).
-func newTelemetryHandlerDist(clock trace.Clock, prog *experiments.Progress, reg *trace.Registry, sup *harness.Supervisor, coord *dist.Coordinator, rc *remote.Client) http.Handler {
-	t := &telemetry{clock: clock, prog: prog, reg: reg, sup: sup, coord: coord, remote: rc}
+// (unsupervised sweep); the supervision gauges then read zero. rc, when
+// non-nil, adds the remote-execution client's per-server series
+// (ipex_remote_breaker_state and friends).
+func newTelemetryHandler(clock trace.Clock, prog *experiments.Progress, reg *trace.Registry, sup *harness.Supervisor, rc *remote.Client) http.Handler {
+	t := &telemetry{clock: clock, prog: prog, reg: reg, sup: sup, remote: rc}
 	curTelemetry.Store(t)
 	expvarOnce.Do(func() {
 		expvar.Publish("ipex_sweep", expvar.Func(func() any {
@@ -92,26 +81,13 @@ func newTelemetryHandlerDist(clock trace.Clock, prog *experiments.Progress, reg 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", t.metrics)
 	mux.Handle("/debug/vars", expvar.Handler())
-	if coord != nil {
-		mux.HandleFunc("/dist/v1/fleet", t.fleet)
-	}
 	return mux
 }
 
-// fleet serves the coordinator's aggregated per-worker view as JSON — the
-// same data ipextop renders live.
-func (t *telemetry) fleet(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(t.coord.Fleet()); err != nil {
-		// A scrape racing a disconnect can fail mid-write; nobody to tell.
-		_ = err
-	}
-}
-
 // metrics writes Prometheus text exposition format 0.0.4: the sweep-progress
-// gauges first, the fleet series when coordinating, then the metrics registry
-// (counters and latency histograms accumulated across every simulation so
-// far).
+// gauges first, the remote client's per-server series under -servers, then
+// the metrics registry (counters and latency histograms accumulated across
+// every simulation so far).
 func (t *telemetry) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	done, total, insts := t.prog.Snapshot()
@@ -142,12 +118,6 @@ func (t *telemetry) metrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("ipex_sweep_cell_timeouts", "wall-clock backstop expiries", float64(cs.Timeouts))
 	gauge("ipex_sweep_cell_panics", "isolated cell panics (journaled, soft-failed)", float64(cs.Panics))
 	gauge("ipex_sweep_cell_failures", "cells journaled as failed (panics + exhausted retries)", float64(cs.Failures))
-	// Fleet series: only present when this process coordinates workers. The
-	// coordinator renders them itself so /metrics and /dist/v1/fleet always
-	// agree on liveness, throughput, and straggler calls.
-	if t.coord != nil {
-		_ = t.coord.WriteFleetProm(w)
-	}
 	// Remote-execution series: per-server breaker states and attempt counts,
 	// only present when the sweep runs against an ipexd fleet. The remote.*
 	// counters themselves live in the shared registry below.

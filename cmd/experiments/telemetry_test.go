@@ -54,7 +54,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("sweep progress = %d/%d insts=%d", done, total, insts)
 	}
 
-	srv := httptest.NewServer(newTelemetryHandler(trace.NewWallClock(), prog, reg, sup))
+	srv := httptest.NewServer(newTelemetryHandler(trace.NewWallClock(), prog, reg, sup, nil))
 	defer srv.Close()
 
 	body := get(t, srv, "/metrics")
@@ -129,7 +129,7 @@ func TestTelemetryConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(newTelemetryHandler(clock, prog, reg, sup))
+	srv := httptest.NewServer(newTelemetryHandler(clock, prog, reg, sup, nil))
 	defer srv.Close()
 	body := get(t, srv, "/metrics")
 	if errs := promtext.Lint(body, "ipex_"); len(errs) != 0 {

@@ -20,6 +20,8 @@ import (
 	"ipex/internal/experiments"
 	"ipex/internal/faultnet"
 	"ipex/internal/harness"
+	"ipex/internal/nvp"
+	"ipex/internal/power"
 	"ipex/internal/remote"
 )
 
@@ -168,6 +170,86 @@ func TestRemoteSweepChaosByteIdentical(t *testing.T) {
 	if pA.Counters.Snapshot().Injected()+pB.Counters.Snapshot().Injected() == 0 {
 		t.Fatal("the chaos proxies injected nothing; the test proved nothing")
 	}
+}
+
+// TestRemoteSweepTunedAndFaultedCells farms the cells the wire gained last —
+// fault schedules (robust-ckpt, robust-sensor) and IPEX tunables carried by
+// both columns of a sensitivity sweep (Fig. 25) — to a two-server fleet. The
+// output must match the local run byte for byte, and every distinct cell
+// key must execute remotely exactly once: none declined by the encoder,
+// none degraded to local fallback.
+func TestRemoteSweepTunedAndFaultedCells(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(experiments.Options) (any, error)
+	}{
+		{"robust-ckpt", func(o experiments.Options) (any, error) { return experiments.RobustCkpt(o) }},
+		{"robust-sensor", func(o experiments.Options) (any, error) { return experiments.RobustSensor(o) }},
+		{"fig25", func(o experiments.Options) (any, error) { return experiments.Fig25(o) }},
+	}
+	sweep := func(sup *harness.Supervisor, enc experiments.RemoteEncoder) string {
+		var out []any
+		for _, r := range runs {
+			res, err := r.run(experiments.Options{
+				Scale:        0.02,
+				Apps:         []string{"fft", "gsme"},
+				Parallelism:  4,
+				Sup:          sup,
+				RemoteEncode: enc,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			out = append(out, res)
+		}
+		return asJSON(t, out)
+	}
+	golden := sweep(&harness.Supervisor{PropagatePanics: true}, nil)
+
+	_, tsA := newTestServer(t, t.TempDir(), 2, 16)
+	_, tsB := newTestServer(t, t.TempDir(), 2, 16)
+	rc, err := remote.NewClient(remote.Options{
+		Servers:     []string{tsA.URL, tsB.URL},
+		Retries:     2,
+		BackoffBase: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A journal turns on the sweep's per-key memo, so each distinct key
+	// goes to the fleet once and its repeats replay the first copy.
+	journal, err := harness.CreateJournal(t.TempDir()+"/sweep.jsonl", "tuned-and-faulted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	sup := &harness.Supervisor{PropagatePanics: true, Remote: rc, Journal: journal}
+	var (
+		mu       sync.Mutex
+		keys     = map[string]bool{}
+		declined int
+	)
+	enc := func(app string, scale float64, tr *power.Trace, seed uint64, cfg nvp.Config, key string) []byte {
+		body := remote.EncodeCell(app, scale, tr, seed, cfg, key)
+		mu.Lock()
+		defer mu.Unlock()
+		keys[key] = true
+		if body == nil {
+			declined++
+		}
+		return body
+	}
+	if got := sweep(sup, enc); got != golden {
+		t.Fatalf("fleet sweep diverged from local golden:\nremote %s\nlocal  %s", got, golden)
+	}
+	s := rc.Snapshot()
+	if declined != 0 || len(keys) == 0 {
+		t.Fatalf("EncodeCell declined %d of the cells under %d distinct keys", declined, len(keys))
+	}
+	if s.CellsRemote != uint64(len(keys)) || s.CellsLocalFallback+s.CellsUnroutable+s.CellsFailed != 0 {
+		t.Fatalf("want all %d distinct keys remote and no fallback, got %+v", len(keys), s)
+	}
+	t.Logf("%d distinct keys, all served by the fleet", len(keys))
 }
 
 // TestRemoteServerKilledMidSweep kills one of two servers after its second

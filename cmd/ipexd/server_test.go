@@ -312,21 +312,26 @@ func TestMetricsPartition(t *testing.T) {
 }
 
 // TestBadRequests pins the client-error surface: unknown fields, unknown
-// apps, bad scales, and bad modes are all 400s (never simulated, never
-// cached).
+// apps, bad scales, bad modes, and out-of-range IPEX tunables or fault
+// schedules are all 400s (never simulated, never cached). A threshold list
+// past core.MaxThresholds is refused whatever the ipex mode.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, "", 1, 2)
 	for name, body := range map[string]string{
-		"unknown-field": `{"app":"fft","turbo":true}`,
-		"missing-app":   `{"scale":0.02}`,
-		"unknown-app":   `{"app":"doom"}`,
-		"bad-scale":     `{"app":"fft","scale":-1}`,
-		"over-scale":    `{"app":"fft","scale":50}`,
-		"bad-source":    `{"app":"fft","source":"mains"}`,
-		"bad-ipex":      `{"app":"fft","config":{"ipex":"sideways"}}`,
-		"bad-nvm":       `{"app":"fft","config":{"nvm":"DRAM"}}`,
-		"bad-prefetch":  `{"app":"fft","config":{"dprefetch":"psychic"}}`,
-		"not-json":      `not even json`,
+		"unknown-field":        `{"app":"fft","turbo":true}`,
+		"missing-app":          `{"scale":0.02}`,
+		"unknown-app":          `{"app":"doom"}`,
+		"bad-scale":            `{"app":"fft","scale":-1}`,
+		"over-scale":           `{"app":"fft","scale":50}`,
+		"bad-source":           `{"app":"fft","source":"mains"}`,
+		"bad-ipex":             `{"app":"fft","config":{"ipex":"sideways"}}`,
+		"bad-nvm":              `{"app":"fft","config":{"nvm":"DRAM"}}`,
+		"bad-prefetch":         `{"app":"fft","config":{"dprefetch":"psychic"}}`,
+		"too-many-thresholds":  `{"app":"fft","config":{"thresholds":[3.39,3.38,3.37,3.36,3.35,3.34,3.33,3.32,3.31]}}`,
+		"ascending-thresholds": `{"app":"fft","config":{"thresholds":[3.25,3.3]}}`,
+		"bad-fault-prob":       `{"app":"fft","config":{"faults":{"checkpoint":{"write_fail_prob":1.5}}}}`,
+		"unknown-fault-field":  `{"app":"fft","config":{"faults":{"sensor":{"gremlins":1}}}}`,
+		"not-json":             `not even json`,
 	} {
 		resp := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -1,8 +1,8 @@
 // Command ipextop is a live terminal view over any ipex metrics endpoint: a
-// sweep under `experiments -listen`, an ipexd service, or a dist worker. It
-// polls /metrics (Prometheus text format), renders latency quantiles from
-// the exported histograms, and — when the endpoint is a coordinator — shows
-// the per-worker fleet table from /dist/v1/fleet.
+// sweep under `experiments -listen` or an ipexd service. It polls /metrics
+// (Prometheus text format), renders latency quantiles from the exported
+// histograms, and — when the sweep farms cells to an ipexd fleet with
+// -servers — shows each server's breaker state, attempts and failures.
 //
 //	ipextop localhost:9090                 # refresh every 2s until ^C
 //	ipextop -interval 500ms localhost:9090
@@ -39,7 +39,7 @@ func main() {
 		if i > 0 {
 			time.Sleep(*interval)
 		}
-		snap, err := poll(base)
+		exp, err := poll(base)
 		if clear {
 			// Home the cursor and clear to end so a shrinking frame leaves
 			// no stale rows behind.
@@ -52,6 +52,6 @@ func main() {
 			}
 			continue
 		}
-		render(os.Stdout, base, snap)
+		render(os.Stdout, base, exp)
 	}
 }

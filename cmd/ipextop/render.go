@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -11,22 +10,13 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"ipex/internal/dist"
 	"ipex/internal/promtext"
 )
 
-// snapshot is one poll of an endpoint: the parsed /metrics scrape plus, when
-// the endpoint coordinates a fleet, the /dist/v1/fleet view.
-type snapshot struct {
-	Exp   *promtext.Exposition
-	Fleet *dist.FleetView
-}
-
 var client = &http.Client{Timeout: 5 * time.Second}
 
-// poll scrapes base/metrics (required) and base/dist/v1/fleet (optional —
-// a 404 just means the endpoint is not a coordinator).
-func poll(base string) (*snapshot, error) {
+// poll scrapes and parses base/metrics.
+func poll(base string) (*promtext.Exposition, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return nil, err
@@ -43,24 +33,12 @@ func poll(base string) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("/metrics: %v", err)
 	}
-	s := &snapshot{Exp: exp}
-
-	fresp, err := client.Get(base + "/dist/v1/fleet")
-	if err == nil {
-		if fresp.StatusCode == http.StatusOK {
-			var v dist.FleetView
-			if json.NewDecoder(fresp.Body).Decode(&v) == nil {
-				s.Fleet = &v
-			}
-		}
-		fresp.Body.Close()
-	}
-	return s, nil
+	return exp, nil
 }
 
 // gauge returns the value of an unlabelled sample, or NaN when absent.
-func (s *snapshot) gauge(name string) float64 {
-	f := s.Exp.Family(name)
+func gauge(exp *promtext.Exposition, name string) float64 {
+	f := exp.Family(name)
 	if f == nil {
 		return math.NaN()
 	}
@@ -73,50 +51,67 @@ func (s *snapshot) gauge(name string) float64 {
 }
 
 // render writes one frame: a sweep header when the endpoint exports the
-// ipex_sweep_* gauges, the fleet table when it coordinates workers, latency
-// quantiles for every exported histogram, and the remaining scalar series.
-func render(w io.Writer, base string, s *snapshot) {
+// ipex_sweep_* gauges, the per-server table when it farms cells to an ipexd
+// fleet, latency quantiles for every exported histogram, and the remaining
+// scalar series.
+func render(w io.Writer, base string, exp *promtext.Exposition) {
 	fmt.Fprintf(w, "ipextop — %s\n", base)
 
-	if total := s.gauge("ipex_sweep_cells_total"); !math.IsNaN(total) {
-		done := s.gauge("ipex_sweep_cells_done")
+	if total := gauge(exp, "ipex_sweep_cells_total"); !math.IsNaN(total) {
+		done := gauge(exp, "ipex_sweep_cells_done")
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * done / total
 		}
 		fmt.Fprintf(w, "sweep: %.0f/%.0f cells (%.1f%%)  %.1f cells/s  elapsed %s  eta %s\n",
 			done, total, pct,
-			s.gauge("ipex_sweep_cells_per_second"),
-			fmtSeconds(s.gauge("ipex_sweep_elapsed_seconds")),
-			fmtSeconds(s.gauge("ipex_sweep_eta_seconds")))
+			gauge(exp, "ipex_sweep_cells_per_second"),
+			fmtSeconds(gauge(exp, "ipex_sweep_elapsed_seconds")),
+			fmtSeconds(gauge(exp, "ipex_sweep_eta_seconds")))
 	}
 
-	if s.Fleet != nil {
-		renderFleet(w, s.Fleet)
-	}
-	renderHistograms(w, s.Exp)
-	renderScalars(w, s.Exp)
+	renderServers(w, exp)
+	renderHistograms(w, exp)
+	renderScalars(w, exp)
 }
 
-// renderFleet writes the per-worker table: liveness, progress, throughput,
-// and the coordinator's straggler call.
-func renderFleet(w io.Writer, v *dist.FleetView) {
-	fmt.Fprintf(w, "\nfleet %q: %d live, %d remaining, %d merged (%d dup), %d resharded, %d stolen, %d dead\n",
-		v.Sweep, v.Live, v.Remaining, v.Merged, v.Duplicates, v.Resharded, v.Stolen, v.DeadWorkers)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  WORKER\tSTATE\tDONE\tASSIGNED\tREMAINING\tCELLS/S\tFAILS\t")
-	for _, fw := range v.Workers {
-		state := "up"
-		switch {
-		case fw.Dead:
-			state = "dead"
-		case !fw.Up:
-			state = "down"
-		case fw.Straggler:
-			state = "straggler"
+// breakerStates names ipex_remote_breaker_state's values.
+var breakerStates = []string{"closed", "half-open", "open"}
+
+// renderServers writes the per-server table of a sweep run with -servers:
+// each ipexd's circuit-breaker state and the attempts and failures the
+// remote client routed to it (the ipex_remote_* series).
+func renderServers(w io.Writer, exp *promtext.Exposition) {
+	states := exp.Family("ipex_remote_breaker_state")
+	if states == nil || len(states.Samples) == 0 {
+		return
+	}
+	perServer := func(name string) map[string]float64 {
+		m := map[string]float64{}
+		if f := exp.Family(name); f != nil {
+			for _, sm := range f.Samples {
+				m[sm.Labels["server"]] = sm.Value
+			}
 		}
-		fmt.Fprintf(tw, "  %s\t%s\t%d\t%d\t%d\t%.1f\t%d\t\n",
-			fw.Addr, state, fw.Done, fw.Assigned, fw.Remaining, fw.RateCellsPerSec, fw.Fails)
+		return m
+	}
+	attempts := perServer("ipex_remote_server_attempts_total")
+	failures := perServer("ipex_remote_server_failures_total")
+	fmt.Fprintln(w, "\nservers:")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "  SERVER\tBREAKER\tATTEMPTS\tFAILURES\tFAIL%\t")
+	for _, sm := range states.Samples {
+		srv := sm.Labels["server"]
+		state := fmt.Sprintf("%g", sm.Value)
+		if i := int(sm.Value); float64(i) == sm.Value && i >= 0 && i < len(breakerStates) {
+			state = breakerStates[i]
+		}
+		a, f := attempts[srv], failures[srv]
+		pct := "-"
+		if a > 0 {
+			pct = fmt.Sprintf("%.1f", 100*f/a)
+		}
+		fmt.Fprintf(tw, "  %s\t%s\t%.0f\t%.0f\t%s\t\n", srv, state, a, f, pct)
 	}
 	tw.Flush()
 }
@@ -166,7 +161,7 @@ func renderHistograms(w io.Writer, exp *promtext.Exposition) {
 
 // renderScalars writes the remaining unlabelled counter/gauge samples —
 // cache ratios, queue depths, supervision counters — skipping the sweep
-// header gauges already shown and any labelled series (the fleet table
+// header gauges already shown and any labelled series (the server table
 // covers those).
 func renderScalars(w io.Writer, exp *promtext.Exposition) {
 	type kv struct {
@@ -175,8 +170,7 @@ func renderScalars(w io.Writer, exp *promtext.Exposition) {
 	}
 	var rows []kv
 	for _, f := range exp.Families {
-		if f.Type == "histogram" || strings.HasPrefix(f.Name, "ipex_sweep_") ||
-			strings.HasPrefix(f.Name, "ipex_fleet_") {
+		if f.Type == "histogram" || strings.HasPrefix(f.Name, "ipex_sweep_") {
 			continue
 		}
 		for _, sm := range f.Samples {

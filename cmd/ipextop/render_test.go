@@ -1,14 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
-	"ipex/internal/dist"
 	"ipex/internal/promtext"
+	"ipex/internal/remote"
 	"ipex/internal/trace"
 )
 
@@ -38,7 +38,7 @@ func TestRenderHistogramQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	render(&b, "http://x", &snapshot{Exp: exp})
+	render(&b, "http://x", exp)
 	out := b.String()
 
 	// 8 of 10 observations land in the 0.1 bucket → p50 interpolates inside
@@ -63,80 +63,94 @@ func TestRenderHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestRenderFleetTable(t *testing.T) {
-	v := &dist.FleetView{
-		Sweep: "s", Live: 2, Remaining: 20, Merged: 80, Duplicates: 3,
-		Workers: []dist.FleetWorker{
-			{Addr: "http://a:1", Up: true, Done: 2, Assigned: 20, Remaining: 18, RateCellsPerSec: 1.5, Straggler: true},
-			{Addr: "http://b:2", Up: true, Done: 18, Assigned: 20, Remaining: 2, RateCellsPerSec: 9},
-			{Addr: "http://c:3", Dead: true},
-		},
-	}
-	exp, err := promtext.Parse("")
+// TestRenderServerTable renders the per-server table from the remote
+// client's own /metrics writer, then from a scrape with one breaker open.
+func TestRenderServerTable(t *testing.T) {
+	rc, err := remote.NewClient(remote.Options{Servers: []string{"http://a:1", "http://b:2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	render(&b, "http://x", &snapshot{Exp: exp, Fleet: v})
-	out := b.String()
-	for _, want := range []string{
-		`fleet "s": 2 live, 20 remaining, 80 merged (3 dup)`,
-		"straggler", "dead",
-		"http://a:1", "http://b:2", "http://c:3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fleet frame missing %q:\n%s", want, out)
+	var live strings.Builder
+	if err := rc.WriteProm(&live); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(scrape string) string {
+		exp, err := promtext.Parse(scrape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		render(&b, "http://x", exp)
+		return b.String()
+	}
+	out := frame(live.String())
+	for _, srv := range []string{"http://a:1", "http://b:2"} {
+		if !rowHas(out, srv, "closed", "0", "-") {
+			t.Errorf("fresh client: no closed, idle row for %s:\n%s", srv, out)
 		}
 	}
-	// Worker b is healthy: its row says up, not straggler.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "http://b:2") && !strings.Contains(line, "up") {
-			t.Errorf("healthy worker row %q not marked up", line)
-		}
+
+	scrape := `# TYPE ipex_remote_breaker_state gauge
+ipex_remote_breaker_state{server="http://a:1"} 2
+ipex_remote_breaker_state{server="http://b:2"} 0
+# TYPE ipex_remote_server_attempts_total counter
+ipex_remote_server_attempts_total{server="http://a:1"} 8
+ipex_remote_server_attempts_total{server="http://b:2"} 40
+# TYPE ipex_remote_server_failures_total counter
+ipex_remote_server_failures_total{server="http://a:1"} 6
+ipex_remote_server_failures_total{server="http://b:2"} 1
+`
+	out = frame(scrape)
+	if !rowHas(out, "http://a:1", "open", "8", "6", "75.0") {
+		t.Errorf("open server row wrong:\n%s", out)
+	}
+	if !rowHas(out, "http://b:2", "closed", "40", "1", "2.5") {
+		t.Errorf("healthy server row wrong:\n%s", out)
+	}
+	if strings.Contains(frame(fixtureScrape(t)), "servers:") {
+		t.Error("server table rendered for an endpoint without remote series")
 	}
 }
 
-// TestPollEndToEnd scrapes a real HTTP server shaped like a coordinator:
-// /metrics from the registry renderer, /dist/v1/fleet as JSON.
+// rowHas reports whether the frame line naming key holds every field.
+func rowHas(frame, key string, fields ...string) bool {
+	for _, line := range strings.Split(frame, "\n") {
+		if !strings.Contains(line, key) {
+			continue
+		}
+		got := strings.Fields(line)
+		for _, f := range fields {
+			if !slices.Contains(got, f) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// TestPollEndToEnd scrapes a real HTTP server serving /metrics from the
+// registry renderer.
 func TestPollEndToEnd(t *testing.T) {
 	scrape := fixtureScrape(t)
-	fleet := dist.FleetView{Sweep: "e2e", Live: 1, Workers: []dist.FleetWorker{{Addr: "w", Up: true}}}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write([]byte(scrape))
-	})
-	mux.HandleFunc("/dist/v1/fleet", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(fleet)
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	s, err := poll(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Fleet == nil || s.Fleet.Sweep != "e2e" || len(s.Fleet.Workers) != 1 {
-		t.Fatalf("fleet = %+v, want the served view", s.Fleet)
-	}
-	if f := s.Exp.Family("ipex_ipexd_run_seconds"); f == nil || f.Type != "histogram" {
-		t.Fatalf("scrape did not parse the histogram family: %+v", f)
-	}
-
-	// A fleet-less endpoint (404 on /dist/v1/fleet) still polls fine.
-	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/metrics" {
 			http.NotFound(w, r)
 			return
 		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write([]byte(scrape))
 	}))
-	defer plain.Close()
-	s2, err := poll(plain.URL)
+	defer srv.Close()
+
+	exp, err := poll(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Fleet != nil {
-		t.Error("poll invented a fleet view for a non-coordinator endpoint")
+	if f := exp.Family("ipex_ipexd_run_seconds"); f == nil || f.Type != "histogram" {
+		t.Fatalf("scrape did not parse the histogram family: %+v", f)
+	}
+	if _, err := poll(srv.URL + "/nowhere"); err == nil {
+		t.Error("poll accepted a 404 /metrics")
 	}
 }

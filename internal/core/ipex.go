@@ -30,6 +30,11 @@ import (
 	"ipex/internal/trace"
 )
 
+// MaxThresholds caps Config.Thresholds. The controller walks every
+// threshold on each voltage observation; the paper's sensitivity study
+// (Fig. 16) uses at most three.
+const MaxThresholds = 8
+
 // Config parameterises one IPEX controller.
 type Config struct {
 	// Enabled turns the extension on. A disabled controller behaves as the
@@ -43,7 +48,7 @@ type Config struct {
 	MaxDegree int
 	// Thresholds are the initial voltage thresholds in volts, strictly
 	// descending (paper default {3.30, 3.25}). Their count is the paper's
-	// "V_thres count" sensitivity knob (Fig. 16).
+	// "V_thres count" sensitivity knob (Fig. 16); at most MaxThresholds.
 	Thresholds []float64
 	// StepV is the adaptive threshold adjustment step (paper default
 	// 0.05 V; Fig. 24 sweeps it).
@@ -113,6 +118,9 @@ func (c Config) Validate() error {
 	}
 	if len(c.Thresholds) == 0 {
 		return fmt.Errorf("core: IPEX enabled with no voltage thresholds")
+	}
+	if len(c.Thresholds) > MaxThresholds {
+		return fmt.Errorf("core: %d voltage thresholds exceed the maximum of %d", len(c.Thresholds), MaxThresholds)
 	}
 	for i, t := range c.Thresholds {
 		if math.IsNaN(t) || math.IsInf(t, 0) || t <= 0 {

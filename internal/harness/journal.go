@@ -27,10 +27,8 @@ const (
 )
 
 // Sink receives journal entries. *Journal is the durable file-backed
-// implementation; the distributed layer (internal/dist) supplies in-memory
-// logs that stream entries to a coordinator instead of (or in addition to)
-// a local file. A Supervisor writes through this interface so the two are
-// interchangeable.
+// implementation; a Supervisor writes through this interface so a caller
+// can wrap the journal to observe every entry it appends.
 type Sink interface {
 	Append(Entry) error
 }
@@ -121,11 +119,10 @@ func CreateJournal(path, sweepKey string) (*Journal, error) {
 }
 
 // ParseLine decodes and validates one journal line. It is the single line
-// parser behind ResumeJournal and the distributed segment merge
-// (internal/dist), and the surface FuzzJournalLine hardens: any input must
-// either yield a structurally valid entry or an error, never a panic and
-// never a half-valid entry (a KindCell without a key or result, say) that
-// replay could mistake for a simulation.
+// parser behind ResumeJournal, and the surface FuzzJournalLine hardens: any
+// input must either yield a structurally valid entry or an error, never a
+// panic and never a half-valid entry (a KindCell without a key or result,
+// say) that replay could mistake for a simulation.
 func ParseLine(raw []byte) (Entry, error) {
 	var e Entry
 	if err := json.Unmarshal(raw, &e); err != nil {

@@ -80,9 +80,8 @@ type Counters struct {
 	// survived retrying).
 	Panics   atomic.Uint64
 	Failures atomic.Uint64
-	// Skipped counts cells short-circuited by the Skip filter (outside a
-	// distributed worker's shard assignment): never simulated, never
-	// journaled.
+	// Skipped counts cells short-circuited by the Skip filter: never
+	// simulated, never journaled.
 	Skipped atomic.Uint64
 	// Remote counts cells answered by a RemoteRunner (executed on an ipexd
 	// fleet, verified, and journaled without simulating locally).
@@ -160,8 +159,8 @@ type Cell struct {
 // with everything off (no journal, no retries, no backstop).
 type Supervisor struct {
 	// Journal receives one entry per finished cell; nil disables
-	// journaling. A *Journal writes a durable file; the distributed layer
-	// installs in-memory sinks that stream entries to a coordinator.
+	// journaling. A *Journal writes a durable file; a caller may wrap it to
+	// observe each entry.
 	//
 	// A journaled supervisor runs each key once: a repeat of a key
 	// waits for its first copy, skips RunRemote and local simulation, and
@@ -196,11 +195,12 @@ type Supervisor struct {
 	// Skip, when non-nil, short-circuits cells this process is not
 	// responsible for: a cell whose key is empty or for which Skip reports
 	// true returns a synthetic completed placeholder (see SkippedResult)
-	// without simulating, journaling, or replaying. Distributed workers
-	// (internal/dist) install it so a worker executes only its shard of a
-	// sweep while the sweep's own control flow still sees a result for
-	// every cell. The placeholder is deliberately worthless: anything
-	// rendered from a filtered sweep is discarded by the worker driver.
+	// without simulating, journaling, or replaying, so a filtered sweep's
+	// control flow still sees a result for every cell. It is also the
+	// first hook RunCell consults, which makes it a cell-start probe for
+	// callers whose filter never skips. The placeholder is deliberately
+	// worthless: anything rendered from a filtered sweep must be
+	// discarded.
 	Skip func(key string) bool
 	// Remote, when non-nil, is offered every journaled cell that carries a
 	// RemoteReq before local execution. A handled cell is journaled from the
@@ -364,9 +364,8 @@ func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, *Entry) {
 // SkippedResult is the placeholder a Skip-filtered cell returns: marked
 // Completed with unit cycle/instruction counts so downstream sweep
 // arithmetic (speedup ratios, completeness filters) neither aborts the
-// sweep nor divides by zero. It carries no simulation content whatsoever —
-// a worker's rendered experiment output is garbage by construction and is
-// discarded; only the journaled entries of the cells it did run matter.
+// sweep nor divides by zero. It carries no simulation content whatsoever:
+// output rendered from a filtered sweep is garbage by construction.
 func SkippedResult(label string) nvp.Result {
 	return nvp.Result{App: label, Completed: true, Cycles: 1, Insts: 1}
 }

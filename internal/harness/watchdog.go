@@ -22,9 +22,9 @@ func backstopContext(d time.Duration) (context.Context, context.CancelFunc) {
 // BackoffDelay is the deterministic exponential delay before retry number
 // `attempt` (1-based): base << (attempt-1), capped at 32× the base. No
 // jitter: the schedule depends only on the attempt count, so retry
-// behaviour is reproducible run to run. Exported because the distributed
-// coordinator (internal/dist) spaces its worker health-check retries on
-// the same curve.
+// behaviour is reproducible run to run. Exported because the remote
+// client (internal/remote) spaces its fleet retries on the same curve,
+// adding only its key-seeded jitter.
 func BackoffDelay(base time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		return 0

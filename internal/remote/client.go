@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"time"
 
+	"ipex/internal/harness"
 	"ipex/internal/nvp"
 	"ipex/internal/trace"
 )
@@ -376,8 +377,8 @@ func (c *Client) RunRemote(key, label string, req []byte) (res nvp.Result, handl
 }
 
 // sleepBackoff waits between retry rounds: an honored Retry-After when the
-// server sent one (capped), otherwise the deterministic key-seeded
-// jittered exponential schedule. The chosen delay — not the measured sleep
+// server sent one (capped), otherwise the harness's exponential schedule
+// (harness.BackoffDelay) plus deterministic key-seeded jitter. The chosen delay — not the measured sleep
 // — feeds the backoff histogram, so the series is as deterministic as the
 // schedule itself.
 func (c *Client) sleepBackoff(key string, round int, retryAfter time.Duration) {
@@ -389,10 +390,7 @@ func (c *Client) sleepBackoff(key string, round int, retryAfter time.Duration) {
 		}
 		c.retryAfterOK.Inc()
 	} else {
-		d = c.backoff << (round - 1)
-		if max := 32 * c.backoff; d > max {
-			d = max
-		}
+		d = harness.BackoffDelay(c.backoff, round)
 		if d > 0 {
 			// Key-seeded jitter up to +50%: a fleet of clients retrying the
 			// same instant spreads out, but a given cell's schedule is

@@ -5,11 +5,10 @@ import (
 	"time"
 )
 
-// This file is the package's only wall-clock touchpoint, mirroring
-// internal/dist/clock.go: remote execution needs real time for backoff
-// sleeps and hedge timers, but nothing that feeds a simulated result may
-// ever observe it. The determinism lint pins wall-clock use in internal/
-// to exactly the registered clock corners.
+// This file is the package's only wall-clock touchpoint: remote execution
+// needs real time for backoff sleeps and hedge timers, but nothing that
+// feeds a simulated result may ever observe it. The determinism lint pins
+// wall-clock use in internal/ to exactly the registered clock corners.
 
 // realSleep is the default Client sleep; tests substitute a recorder so
 // the deterministic backoff schedule is asserted, not waited out. The

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/json"
+	"slices"
 
 	"ipex/internal/nvp"
 	"ipex/internal/power"
@@ -12,11 +13,12 @@ import (
 // a non-nil return is a request the server is guaranteed to file under
 // wantKey, proven by round-tripping the candidate through Build — the
 // server's own builder — and comparing the reconstructed cell identity
-// against the sweep's. Anything the wire schema cannot express (injected
-// faults, caller-installed prefetcher factories, a non-default capacitor
-// beyond its capacitance, a custom trace) fails that comparison and runs
-// locally; there is no list of special cases to keep in sync with the
-// schema, because the schema itself is the check.
+// against the sweep's. Anything the wire schema cannot express
+// (caller-installed prefetcher factories, instruction-only IPEX, a
+// non-default capacitor beyond its capacitance, a custom or short trace)
+// fails that comparison and runs locally; there is no list of special
+// cases to keep in sync with the schema, because the schema itself is the
+// check.
 //
 // tr must be the cell's power trace, wantKey the key runAll computed for
 // the cell (see experiments.CellIdentity). cfg must be the effective
@@ -75,7 +77,27 @@ func EncodeCell(app string, scale float64, tr *power.Trace, traceSeed uint64, cf
 			NVM:                cfg.NVM.Tech.String(),
 			NVMBytes:           cfg.NVM.SizeBytes,
 			CapacitanceFarads:  cfg.Capacitor.CapacitanceFarads,
+			LinearAdjust:       cfg.IPEX.LinearAdjust,
 		},
+	}
+	// The IPEX tunables and faults go on the wire only when they differ
+	// from the defaults, so a cell the older schema could spell keeps its
+	// exact request bytes.
+	cr, def := rq.Config, nvp.DefaultConfig().IPEX
+	if !slices.Equal(cfg.IPEX.Thresholds, def.Thresholds) {
+		cr.Thresholds = cfg.IPEX.Thresholds
+	}
+	if cfg.IPEX.StepV != def.StepV {
+		cr.StepV = cfg.IPEX.StepV
+	}
+	if r := cfg.IPEX.ThrottleRateTrigger; r != def.ThrottleRateTrigger {
+		cr.ThrottleRateTrigger = &r
+	}
+	if a := cfg.IPEX.Adaptive; a != def.Adaptive {
+		cr.Adaptive = &a
+	}
+	if cfg.Faults != nil {
+		cr.Faults = newFaultRequest(*cfg.Faults)
 	}
 
 	// Round-trip through the server's own builder: remotable iff the server
@@ -96,11 +118,3 @@ func EncodeCell(app string, scale float64, tr *power.Trace, traceSeed uint64, cf
 	}
 	return body
 }
-
-// remotable documents the inverse for callers: EncodeCell never needs a
-// list of unsupported features to keep in sync, because anything the wire
-// cannot spell (cfg.Faults, prefetcher factories, exotic capacitor or IPEX
-// parameters, custom traces) changes the reconstructed identity and fails
-// the key comparison above.
-var _ func(string, float64, *power.Trace, uint64, nvp.Config, string) []byte = EncodeCell
-

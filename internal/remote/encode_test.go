@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ipex/internal/core"
 	"ipex/internal/energy"
 	"ipex/internal/experiments"
 	"ipex/internal/fault"
@@ -34,10 +35,19 @@ func defaultTrace() *power.Trace {
 	return power.Generate(power.RFHome, power.DefaultTraceSamples, 1)
 }
 
-// TestEncodeCellRemotableBattery walks the configurations a sweep actually
-// produces and asserts each encodes to a request the server's own builder
-// reconstructs under the exact cell key.
-func TestEncodeCellRemotableBattery(t *testing.T) {
+// encodeCase is one sweep cell of the expressible battery.
+type encodeCase struct {
+	name  string
+	app   string
+	scale float64
+	tr    *power.Trace
+	seed  uint64
+	cfg   nvp.Config
+}
+
+// remotableBattery lists the configurations a sweep actually produces,
+// each of which EncodeCell must put on the wire.
+func remotableBattery() []encodeCase {
 	tr := defaultTrace()
 	solar := power.Generate(power.Solar, power.DefaultTraceSamples, 9)
 
@@ -79,14 +89,34 @@ func TestEncodeCellRemotableBattery(t *testing.T) {
 	ideal := nvp.DefaultConfig()
 	ideal.Ideal = true
 
-	cases := []struct {
-		name  string
-		app   string
-		scale float64
-		tr    *power.Trace
-		seed  uint64
-		cfg   nvp.Config
-	}{
+	withFaults := nvp.DefaultConfig()
+	withFaults.Faults = &fault.Config{Sensor: fault.SensorConfig{NoiseV: 0.01}}
+
+	tunedIPEX := nvp.DefaultConfig().WithIPEX()
+	tunedIPEX.IPEX.StepV += 0.01
+
+	// A sensitivity sweep's baseline carries the tuned parameters with IPEX
+	// detached; they still enter its identity.
+	oneThreshold := nvp.DefaultConfig()
+	oneThreshold.IPEX.Thresholds = core.ThresholdsFor(1, oneThreshold.Capacitor.Vbackup, oneThreshold.Capacitor.Von)
+
+	trigger := nvp.DefaultConfig().WithIPEX()
+	trigger.IPEX.ThrottleRateTrigger = 0
+
+	ablations := nvp.DefaultConfig().WithIPEX()
+	ablations.IPEX.Adaptive = false
+	ablations.IPEX.LinearAdjust = true
+
+	allFaults := nvp.DefaultConfig().WithIPEXData()
+	allFaults.Paranoid = true
+	allFaults.Faults = &fault.Config{
+		Seed:       7,
+		Sensor:     fault.SensorConfig{ADCBits: 10, VRef: 3.6, NoiseV: 0.02, DropoutProb: 0.1, StuckProb: 0.05, StuckLen: 16},
+		Checkpoint: fault.CheckpointConfig{WriteFailProb: 0.05, MaxRetries: 2, MaxRollbacks: 3},
+		Harvest:    fault.HarvestConfig{DropoutProb: 0.01, SpikeProb: 0.02, SpikeScale: 3, StormProb: 0.001, StormLen: 64},
+	}
+
+	return []encodeCase{
 		{"default", "fft", 0.1, tr, 1, nvp.DefaultConfig()},
 		{"ipex-both", "qsort", 0.1, tr, 1, nvp.DefaultConfig().WithIPEX()},
 		{"ipex-data", "gsme", 0.1, tr, 1, nvp.DefaultConfig().WithIPEXData()},
@@ -100,8 +130,19 @@ func TestEncodeCellRemotableBattery(t *testing.T) {
 		{"no-prefetch", "fft", 0.1, tr, 1, nopf},
 		{"markov-ghb-degree4", "fft", 0.1, tr, 1, markov},
 		{"ideal", "fft", 0.1, tr, 1, ideal},
+		{"injected-faults", "fft", 0.1, tr, 1, withFaults},
+		{"tuned-ipex-params", "fft", 0.1, tr, 1, tunedIPEX},
+		{"baseline-one-threshold", "fft", 0.1, tr, 1, oneThreshold},
+		{"zero-throttle-trigger", "fft", 0.1, tr, 1, trigger},
+		{"fixed-linear-ipex", "fft", 0.1, tr, 1, ablations},
+		{"every-fault-family", "fft", 0.1, tr, 1, allFaults},
 	}
-	for _, tc := range cases {
+}
+
+// TestEncodeCellRemotableBattery asserts each battery cell encodes to a
+// request the server's own builder reconstructs under the exact cell key.
+func TestEncodeCellRemotableBattery(t *testing.T) {
+	for _, tc := range remotableBattery() {
 		t.Run(tc.name, func(t *testing.T) {
 			key := keyFor(t, tc.app, tc.scale, tc.tr, tc.seed, tc.cfg)
 			body := EncodeCell(tc.app, tc.scale, tc.tr, tc.seed, tc.cfg, key)
@@ -126,14 +167,81 @@ func TestEncodeCellRemotableBattery(t *testing.T) {
 	}
 }
 
+// legacyBodies are the requests EncodeCell produced for the battery's first
+// thirteen cells before the schema could spell IPEX tunables and faults. A
+// cell the older schema could express keeps these exact bytes, so fleet
+// caches and in-flight clients stay compatible.
+var legacyBodies = map[string]string{
+	"default":            `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"ipex-both":          `{"app":"qsort","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"both","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"ipex-data":          `{"app":"gsme","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"data","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"solar-seed9":        `{"app":"fft","scale":0.5,"source":"solar","trace_seed":9,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"sttram-32mb":        `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"STTRAM","nvm_bytes":33554432,"capacitance_farads":4.7e-7}}`,
+	"pcm":                `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"PCM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"capacitance":        `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":0.000001}}`,
+	"cache-geometry":     `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":8192,"dcache_bytes":16384,"ways":4,"prefetch_buf_entries":32,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"cycle-budget":       `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":5000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"flag-soup":          `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"reissue_on_exit":true,"gate_address_gen":true,"record_cycles":true,"paranoid":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"no-prefetch":        `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"none","dprefetch":"none","degree":2,"ipex":"off","prefetch_to_cache":false,"dup_suppress":false,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"markov-ghb-degree4": `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"markov","dprefetch":"ghb","degree":4,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+	"ideal":              `{"app":"fft","scale":0.1,"source":"RFHome","trace_seed":1,"config":{"iprefetch":"sequential","dprefetch":"stride","degree":2,"ipex":"off","prefetch_to_cache":true,"dup_suppress":true,"ideal":true,"max_cycles":500000000,"icache_bytes":2048,"dcache_bytes":2048,"ways":4,"prefetch_buf_entries":4,"nvm":"ReRAM","nvm_bytes":16777216,"capacitance_farads":4.7e-7}}`,
+}
+
+func TestEncodeCellLegacyBodiesUnchanged(t *testing.T) {
+	seen := 0
+	for _, tc := range remotableBattery() {
+		want, ok := legacyBodies[tc.name]
+		if !ok {
+			continue
+		}
+		seen++
+		key := keyFor(t, tc.app, tc.scale, tc.tr, tc.seed, tc.cfg)
+		if got := string(EncodeCell(tc.app, tc.scale, tc.tr, tc.seed, tc.cfg, key)); got != want {
+			t.Errorf("%s: request bytes moved:\n got %s\nwant %s", tc.name, got, want)
+		}
+	}
+	if seen != len(legacyBodies) {
+		t.Fatalf("battery covers %d of %d legacy bodies", seen, len(legacyBodies))
+	}
+}
+
+// TestCellKeysPinned pins the content keys of four representative cells.
+// ConfigIdentity hashes core.Config and fault.Config by their Go field
+// names, so a wire change that leaked into either struct (a JSON tag, a
+// renamed field) would re-key every journal line and cache entry; these
+// literals catch it. Each cell must also reach the wire under its key.
+func TestCellKeysPinned(t *testing.T) {
+	tr := defaultTrace()
+	ckpt := nvp.DefaultConfig().WithIPEX()
+	ckpt.Paranoid = true
+	ckpt.Faults = &fault.Config{Seed: 1, Checkpoint: fault.CheckpointConfig{WriteFailProb: 0.05}}
+	one := nvp.DefaultConfig()
+	one.IPEX.Thresholds = core.ThresholdsFor(1, one.Capacitor.Vbackup, one.Capacitor.Von)
+	one = one.WithIPEX()
+	for _, c := range []struct {
+		name, key string
+		cfg       nvp.Config
+	}{
+		{"default", "65ea4dd325984ada629621384d94bf6f", nvp.DefaultConfig()},
+		{"ipex-both", "0fe71abb15e1822b91b2c568854e92e7", nvp.DefaultConfig().WithIPEX()},
+		{"robust-ckpt-5pct", "85012c733561bb91c6b3fd4fa871ffd2", ckpt},
+		{"fig16-one-threshold", "684c2d5cb5a1b31a7ba503293a3f89bc", one},
+	} {
+		key := keyFor(t, "fft", 0.1, tr, 1, c.cfg)
+		if key != c.key {
+			t.Errorf("%s: cell key = %s, want %s", c.name, key, c.key)
+		}
+		if EncodeCell("fft", 0.1, tr, 1, c.cfg, key) == nil {
+			t.Errorf("%s: EncodeCell declined the cell", c.name)
+		}
+	}
+}
+
 // TestEncodeCellDeclinesInexpressible pins the graceful-degradation side:
 // anything the wire schema cannot spell returns nil, so the cell runs
 // locally instead of being mis-keyed remotely.
 func TestEncodeCellDeclinesInexpressible(t *testing.T) {
 	tr := defaultTrace()
-
-	withFaults := nvp.DefaultConfig()
-	withFaults.Faults = &fault.Config{Sensor: fault.SensorConfig{NoiseV: 0.01}}
 
 	withFactory := nvp.DefaultConfig()
 	withFactory.IPrefetcherFactory = func() prefetch.Prefetcher {
@@ -144,9 +252,6 @@ func TestEncodeCellDeclinesInexpressible(t *testing.T) {
 
 	ipexInstOnly := nvp.DefaultConfig().WithIPEX()
 	ipexInstOnly.IPEXData = false
-
-	tunedIPEX := nvp.DefaultConfig().WithIPEX()
-	tunedIPEX.IPEX.StepV += 0.01
 
 	tunedCap := nvp.DefaultConfig()
 	tunedCap.Capacitor.Vbackup += 0.05
@@ -161,10 +266,8 @@ func TestEncodeCellDeclinesInexpressible(t *testing.T) {
 		tr   *power.Trace
 		cfg  nvp.Config
 	}{
-		{"injected-faults", tr, withFaults},
 		{"prefetcher-factory", tr, withFactory},
 		{"ipex-inst-only", tr, ipexInstOnly},
-		{"tuned-ipex-params", tr, tunedIPEX},
 		{"tuned-capacitor-vbackup", tr, tunedCap},
 		{"custom-trace-name", customTrace, nvp.DefaultConfig()},
 		{"foreign-trace-length", shortTrace, nvp.DefaultConfig()},

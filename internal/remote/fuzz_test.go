@@ -3,14 +3,17 @@ package remote
 // FuzzRunRequest fuzzes the /v1/run decode→build path — the exact bytes an
 // ipexd accepts from the network. The invariants are the endpoint's safety
 // contract: the decoder never panics, never accepts more than
-// MaxRequestBody, and anything Build accepts has a well-formed, stable
-// content identity (the cell key the result cache files it under).
+// MaxRequestBody, and anything Build accepts holds at most
+// core.MaxThresholds thresholds and has a well-formed, stable content
+// identity (the cell key the result cache files it under).
 
 import (
 	"bytes"
 	"math"
 	"strings"
 	"testing"
+
+	"ipex/internal/core"
 )
 
 func FuzzRunRequest(f *testing.F) {
@@ -29,6 +32,13 @@ func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(`nonsense`))
 	f.Add([]byte(``))
 	f.Add(bytes.Repeat([]byte(`{"app":"fft"}`), 100_000)) // > MaxRequestBody
+	// The sensitivity, ablation and robustness spellings: IPEX tunables and
+	// fault schedules, plus a threshold list past core.MaxThresholds.
+	f.Add([]byte(`{"app":"fft","config":{"thresholds":[3.3],"step_v":0.1,"throttle_rate_trigger":0,"adaptive":false,"linear_adjust":true}}`))
+	f.Add([]byte(`{"app":"gsme","config":{"ipex":"both","paranoid":true,"faults":{"seed":1,"checkpoint":{"write_fail_prob":0.05}}}}`))
+	f.Add([]byte(`{"app":"fft","config":{"faults":{"sensor":{"adc_bits":10,"noise_v":0.02,"dropout_prob":0.1},"harvest":{"storm_prob":0.01,"storm_len":64}}}}`))
+	f.Add([]byte(`{"app":"fft","config":{"thresholds":[3.3,3.4],"faults":{"sensor":{"stuck_prob":2}}}}`))
+	f.Add([]byte(`{"app":"fft","config":{"thresholds":[3.39,3.38,3.37,3.36,3.35,3.34,3.33,3.32,3.31]}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rq, err := DecodeRunRequest(bytes.NewReader(data))
@@ -52,6 +62,9 @@ func FuzzRunRequest(f *testing.F) {
 		sp2, err := rq.Build(Limits{MaxScale: 10, CellBudget: 1 << 20})
 		if err != nil {
 			t.Fatalf("Build succeeded then failed on identical input: %v", err)
+		}
+		if n := len(sp.Config.IPEX.Thresholds); n > core.MaxThresholds {
+			t.Fatalf("Build accepted %d thresholds from %q (cap %d)", n, data, core.MaxThresholds)
 		}
 		if k1, k2 := sp.Key("rf_home", 4096), sp2.Key("rf_home", 4096); k1 != k2 || k1 == "" {
 			t.Fatalf("cell key unstable across rebuilds: %q vs %q", k1, k2)

@@ -1,12 +1,13 @@
 // Package remote is the resilient client execution layer for farming sweep
-// cells to an ipexd fleet: a sweep (cmd/experiments, serial or distributed
-// worker) hands each remotable cell to a Client, which speculates on a
-// remote result and commits it only after verification — key match and
-// sha256 over the body, the same envelope discipline as the result store's
-// disk tier. Any failure (network, backpressure, corruption, truncation) is
-// a retry against the fleet, and an exhausted retry budget degrades the
-// cell to local arena execution: the sweep's output is byte-identical
-// whether the fleet answered every cell, some, or none.
+// cells to an ipexd fleet, the one way to run cells off-box: a sweep
+// (cmd/experiments -servers) hands each remotable cell to a Client, which
+// speculates on a remote result and commits it only after verification —
+// key match and sha256 over the body, the same envelope discipline as the
+// result store's disk tier. Any failure (network, backpressure,
+// corruption, truncation) is a retry against the fleet, and an exhausted
+// retry budget degrades the cell to local arena execution: the sweep's
+// output is byte-identical whether the fleet answered every cell, some, or
+// none.
 //
 // The package also owns the /v1/run wire schema (RunRequest and its
 // builder), moved here from cmd/ipexd so the client encodes requests with
@@ -38,6 +39,7 @@ import (
 
 	"ipex/internal/energy"
 	"ipex/internal/experiments"
+	"ipex/internal/fault"
 	"ipex/internal/nvp"
 	"ipex/internal/power"
 	"ipex/internal/prefetch"
@@ -103,6 +105,90 @@ type ConfigRequest struct {
 
 	// CapacitanceFarads overrides the storage capacitor (default 0.47e-6).
 	CapacitanceFarads float64 `json:"capacitance_farads,omitempty"`
+
+	// IPEX controller tunables (core.Config). They apply whatever the ipex
+	// mode is: a sensitivity sweep's baseline cell carries the same tuned
+	// parameters with IPEX detached, and the cell identity hashes them
+	// either way. Thresholds are volts, strictly descending, at most
+	// core.MaxThresholds of them.
+	Thresholds          []float64 `json:"thresholds,omitempty"`
+	StepV               float64   `json:"step_v,omitempty"`
+	ThrottleRateTrigger *float64  `json:"throttle_rate_trigger,omitempty"`
+	Adaptive            *bool     `json:"adaptive,omitempty"`
+	LinearAdjust        bool      `json:"linear_adjust,omitempty"`
+
+	// Faults injects a deterministic fault schedule; absent means none.
+	Faults *FaultRequest `json:"faults,omitempty"`
+}
+
+// FaultRequest is the wire spelling of fault.Config. Each family mirrors
+// its internal/fault struct field for field, so the two convert directly
+// and a fault field cannot be added without a wire name. An absent family
+// injects nothing.
+type FaultRequest struct {
+	Seed       uint64            `json:"seed,omitempty"`
+	Sensor     *SensorFaults     `json:"sensor,omitempty"`
+	Checkpoint *CheckpointFaults `json:"checkpoint,omitempty"`
+	Harvest    *HarvestFaults    `json:"harvest,omitempty"`
+}
+
+// SensorFaults is fault.SensorConfig on the wire.
+type SensorFaults struct {
+	ADCBits     int     `json:"adc_bits,omitempty"`
+	VRef        float64 `json:"vref,omitempty"`
+	NoiseV      float64 `json:"noise_v,omitempty"`
+	DropoutProb float64 `json:"dropout_prob,omitempty"`
+	StuckProb   float64 `json:"stuck_prob,omitempty"`
+	StuckLen    int     `json:"stuck_len,omitempty"`
+}
+
+// CheckpointFaults is fault.CheckpointConfig on the wire.
+type CheckpointFaults struct {
+	WriteFailProb float64 `json:"write_fail_prob,omitempty"`
+	MaxRetries    int     `json:"max_retries,omitempty"`
+	MaxRollbacks  int     `json:"max_rollbacks,omitempty"`
+}
+
+// HarvestFaults is fault.HarvestConfig on the wire.
+type HarvestFaults struct {
+	DropoutProb float64 `json:"dropout_prob,omitempty"`
+	SpikeProb   float64 `json:"spike_prob,omitempty"`
+	SpikeScale  float64 `json:"spike_scale,omitempty"`
+	StormProb   float64 `json:"storm_prob,omitempty"`
+	StormLen    int     `json:"storm_len,omitempty"`
+}
+
+// newFaultRequest spells c for the wire, leaving zero families out.
+func newFaultRequest(c fault.Config) *FaultRequest {
+	f := &FaultRequest{Seed: c.Seed}
+	if c.Sensor != (fault.SensorConfig{}) {
+		s := SensorFaults(c.Sensor)
+		f.Sensor = &s
+	}
+	if c.Checkpoint != (fault.CheckpointConfig{}) {
+		k := CheckpointFaults(c.Checkpoint)
+		f.Checkpoint = &k
+	}
+	if c.Harvest != (fault.HarvestConfig{}) {
+		h := HarvestFaults(c.Harvest)
+		f.Harvest = &h
+	}
+	return f
+}
+
+// config is the fault.Config f spells.
+func (f *FaultRequest) config() *fault.Config {
+	c := &fault.Config{Seed: f.Seed}
+	if f.Sensor != nil {
+		c.Sensor = fault.SensorConfig(*f.Sensor)
+	}
+	if f.Checkpoint != nil {
+		c.Checkpoint = fault.CheckpointConfig(*f.Checkpoint)
+	}
+	if f.Harvest != nil {
+		c.Harvest = fault.HarvestConfig(*f.Harvest)
+	}
+	return c
 }
 
 // Limits are the server-side bounds a request must fit in (backstops
@@ -274,6 +360,28 @@ func (rq RunRequest) Build(lim Limits) (Spec, error) {
 		if c.CapacitanceFarads != 0 {
 			cfg.Capacitor.CapacitanceFarads = c.CapacitanceFarads
 		}
+		if len(c.Thresholds) > 0 {
+			cfg.IPEX.Thresholds = c.Thresholds
+		}
+		if c.StepV != 0 {
+			cfg.IPEX.StepV = c.StepV
+		}
+		if c.ThrottleRateTrigger != nil {
+			cfg.IPEX.ThrottleRateTrigger = *c.ThrottleRateTrigger
+		}
+		if c.Adaptive != nil {
+			cfg.IPEX.Adaptive = *c.Adaptive
+		}
+		cfg.IPEX.LinearAdjust = c.LinearAdjust
+		if c.Faults != nil {
+			cfg.Faults = c.Faults.config()
+		}
+	}
+	// cfg.Validate checks the controller only when IPEX is attached, but the
+	// tunables are part of every cell's identity; the wire never detaches
+	// cfg.IPEX.Enabled, so this checks them whatever the mode.
+	if err := cfg.IPEX.Validate(); err != nil {
+		return sp, err
 	}
 	// The server's deterministic cycle budget clamps — and therefore enters
 	// — the cell's identity, exactly like a sweep's -cell-budget.
