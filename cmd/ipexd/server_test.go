@@ -314,7 +314,9 @@ func TestMetricsPartition(t *testing.T) {
 // TestBadRequests pins the client-error surface: unknown fields, unknown
 // apps, bad scales, bad modes, and out-of-range IPEX tunables or fault
 // schedules are all 400s (never simulated, never cached). A threshold list
-// past core.MaxThresholds is refused whatever the ipex mode.
+// past core.MaxThresholds is refused whatever the ipex mode, and checkpoint
+// retry/rollback bounds past the fault caps are refused before they can pin
+// a worker in one outage's checkpoint walk.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, "", 1, 2)
 	for name, body := range map[string]string{
@@ -331,6 +333,7 @@ func TestBadRequests(t *testing.T) {
 		"ascending-thresholds": `{"app":"fft","config":{"thresholds":[3.25,3.3]}}`,
 		"bad-fault-prob":       `{"app":"fft","config":{"faults":{"checkpoint":{"write_fail_prob":1.5}}}}`,
 		"unknown-fault-field":  `{"app":"fft","config":{"faults":{"sensor":{"gremlins":1}}}}`,
+		"huge-ckpt-bounds":     `{"app":"fft","config":{"faults":{"checkpoint":{"write_fail_prob":1,"max_retries":2147483647,"max_rollbacks":2147483647}}}}`,
 		"not-json":             `not even json`,
 	} {
 		resp := postRun(t, ts, body)

@@ -86,20 +86,27 @@ type CheckpointConfig struct {
 	// fails verification.
 	WriteFailProb float64
 	// MaxRetries bounds consecutive retries of one block before the walk
-	// rolls back (0 means DefaultMaxRetries).
+	// rolls back (0 means DefaultMaxRetries; at most RetriesCap).
 	MaxRetries int
 	// MaxRollbacks bounds full-walk restarts per outage; beyond it the
 	// remaining writes are forced to succeed so the simulation always
 	// terminates (0 means DefaultMaxRollbacks). With any WriteFailProb < 1
 	// the bound is astronomically unlikely to be reached; it exists so a
 	// WriteFailProb of exactly 1 stays a usable worst-case experiment.
+	// At most RollbacksCap.
 	MaxRollbacks int
 }
 
-// Default retry/rollback bounds (see CheckpointConfig).
+// Default retry/rollback bounds and their caps (see CheckpointConfig). The
+// caps bound the work of one outage's checkpoint walk, which runs to
+// completion without consulting the cycle budget: with WriteFailProb 1 it
+// costs about (MaxRetries+1)*MaxRollbacks failed writes before the forced
+// pass.
 const (
 	DefaultMaxRetries   = 3
 	DefaultMaxRollbacks = 8
+	RetriesCap          = 64
+	RollbacksCap        = 64
 )
 
 // Active reports whether checkpoint-write injection is configured.
@@ -198,11 +205,11 @@ func (c *Config) Validate() error {
 	if err := prob("checkpoint write-failure probability", k.WriteFailProb); err != nil {
 		return err
 	}
-	if k.MaxRetries < 0 {
-		return fmt.Errorf("fault: checkpoint max retries must be >= 0, got %d", k.MaxRetries)
+	if k.MaxRetries < 0 || k.MaxRetries > RetriesCap {
+		return fmt.Errorf("fault: checkpoint max retries %d out of [0,%d]", k.MaxRetries, RetriesCap)
 	}
-	if k.MaxRollbacks < 0 {
-		return fmt.Errorf("fault: checkpoint max rollbacks must be >= 0, got %d", k.MaxRollbacks)
+	if k.MaxRollbacks < 0 || k.MaxRollbacks > RollbacksCap {
+		return fmt.Errorf("fault: checkpoint max rollbacks %d out of [0,%d]", k.MaxRollbacks, RollbacksCap)
 	}
 	h := c.Harvest
 	if err := prob("harvest dropout probability", h.DropoutProb); err != nil {

@@ -61,6 +61,8 @@ func TestConfigValidate(t *testing.T) {
 		{"ckpt prob negative", Config{Checkpoint: CheckpointConfig{WriteFailProb: -0.1}}, "write-failure"},
 		{"ckpt retries negative", Config{Checkpoint: CheckpointConfig{MaxRetries: -1}}, "retries"},
 		{"ckpt rollbacks negative", Config{Checkpoint: CheckpointConfig{MaxRollbacks: -2}}, "rollbacks"},
+		{"ckpt retries past cap", Config{Checkpoint: CheckpointConfig{MaxRetries: RetriesCap + 1}}, "retries"},
+		{"ckpt rollbacks past cap", Config{Checkpoint: CheckpointConfig{MaxRollbacks: RollbacksCap + 1}}, "rollbacks"},
 		{"harvest dropout nan", Config{Harvest: HarvestConfig{DropoutProb: nan}}, "dropout"},
 		{"harvest spike > 1", Config{Harvest: HarvestConfig{SpikeProb: 2}}, "spike"},
 		{"spike scale negative", Config{Harvest: HarvestConfig{SpikeScale: -1}}, "spike scale"},

@@ -4,7 +4,8 @@ package remote
 // ipexd accepts from the network. The invariants are the endpoint's safety
 // contract: the decoder never panics, never accepts more than
 // MaxRequestBody, and anything Build accepts holds at most
-// core.MaxThresholds thresholds and has a well-formed, stable content
+// core.MaxThresholds thresholds and checkpoint retry/rollback bounds within
+// fault.RetriesCap/RollbacksCap, and has a well-formed, stable content
 // identity (the cell key the result cache files it under).
 
 import (
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"ipex/internal/core"
+	"ipex/internal/fault"
 )
 
 func FuzzRunRequest(f *testing.F) {
@@ -33,12 +35,14 @@ func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add(bytes.Repeat([]byte(`{"app":"fft"}`), 100_000)) // > MaxRequestBody
 	// The sensitivity, ablation and robustness spellings: IPEX tunables and
-	// fault schedules, plus a threshold list past core.MaxThresholds.
+	// fault schedules, plus a threshold list past core.MaxThresholds and
+	// checkpoint bounds past the fault caps.
 	f.Add([]byte(`{"app":"fft","config":{"thresholds":[3.3],"step_v":0.1,"throttle_rate_trigger":0,"adaptive":false,"linear_adjust":true}}`))
 	f.Add([]byte(`{"app":"gsme","config":{"ipex":"both","paranoid":true,"faults":{"seed":1,"checkpoint":{"write_fail_prob":0.05}}}}`))
 	f.Add([]byte(`{"app":"fft","config":{"faults":{"sensor":{"adc_bits":10,"noise_v":0.02,"dropout_prob":0.1},"harvest":{"storm_prob":0.01,"storm_len":64}}}}`))
 	f.Add([]byte(`{"app":"fft","config":{"thresholds":[3.3,3.4],"faults":{"sensor":{"stuck_prob":2}}}}`))
 	f.Add([]byte(`{"app":"fft","config":{"thresholds":[3.39,3.38,3.37,3.36,3.35,3.34,3.33,3.32,3.31]}}`))
+	f.Add([]byte(`{"app":"fft","config":{"faults":{"checkpoint":{"write_fail_prob":1,"max_retries":2147483647,"max_rollbacks":2147483647}}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rq, err := DecodeRunRequest(bytes.NewReader(data))
@@ -65,6 +69,10 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if n := len(sp.Config.IPEX.Thresholds); n > core.MaxThresholds {
 			t.Fatalf("Build accepted %d thresholds from %q (cap %d)", n, data, core.MaxThresholds)
+		}
+		if f := sp.Config.Faults; f != nil && (f.Checkpoint.MaxRetries > fault.RetriesCap || f.Checkpoint.MaxRollbacks > fault.RollbacksCap) {
+			t.Fatalf("Build accepted checkpoint bounds %d/%d from %q (caps %d/%d)",
+				f.Checkpoint.MaxRetries, f.Checkpoint.MaxRollbacks, data, fault.RetriesCap, fault.RollbacksCap)
 		}
 		if k1, k2 := sp.Key("rf_home", 4096), sp2.Key("rf_home", 4096); k1 != k2 || k1 == "" {
 			t.Fatalf("cell key unstable across rebuilds: %q vs %q", k1, k2)
