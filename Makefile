@@ -20,23 +20,27 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the crash-safety layer (worker pool, supervisor,
-# journal, cell plumbing) and the remote-execution client + chaos proxy
-# (hedge races, breaker transitions, concurrent fault injection). `make race` covers these too; this is the
-# quick iteration loop while touching the harness.
+# journal, cell plumbing), the remote-execution client + chaos proxy
+# (hedge races, breaker transitions, concurrent fault injection) and ipexd
+# (the /v1/batch handler, and batch frames racing per-cell hedges).
+# `make race` covers these too; this is the quick iteration loop while
+# touching the harness.
 race-harness:
 	$(GO) test -race -count=2 ./internal/harness ./internal/experiments \
-		./internal/remote ./internal/faultnet
+		./internal/remote ./internal/faultnet ./cmd/ipexd
 
 # Paired comparison of the working tree against BASE on the repository
 # benchmark: every BENCHMARK.json workload and BenchmarkLoops in 10 pairs
 # with alternated order. It fails when a median paired ratio is worse than
 # its bound, a run's output is wrong, or the change fails a larger share of
-# its work, and writes every run and verdict to OUT. It takes about 40
-# minutes and needs a BASE, so `ci` does not run it.
+# its work, and writes every run and verdict to OUT. CLAIM=<workload>/<metric>
+# adds a verdict on the gain a change claims: it must win at least 9 of the
+# 10 pairs with a median ratio better than 1 by more than the base IQR. It
+# takes about 40 minutes and needs a BASE, so `ci` does not run it.
 bench-compare:
 	@[ -n "$(BASE)" ] && [ -n "$(OUT)" ] \
-		|| { echo "usage: make bench-compare BASE=<rev> OUT=BENCH_<slug>.json"; exit 2; }
-	$(GO) run ./cmd/benchcompare $(BASE) $(OUT)
+		|| { echo "usage: make bench-compare BASE=<rev> OUT=BENCH_<slug>.json [CLAIM=<workload>/<metric>]"; exit 2; }
+	$(GO) run ./cmd/benchcompare $(if $(CLAIM),-claim $(CLAIM)) $(BASE) $(OUT)
 
 # The repository benchmark (bench/) is its own Go module, so `go build ./...`
 # and `go test ./...` at the root never compile it. Its tests keep a harness
@@ -193,8 +197,9 @@ obs-smoke:
 
 # Short fuzzing passes over the untrusted-input surfaces: the simulator
 # configuration validator, the harvest-trace parser, the journal line
-# parser behind -resume, and the /v1/run request decoder every ipexd
-# exposes to the network. `go test -fuzz` accepts one target per
+# parser behind -resume, the /v1/run request decoder every ipexd exposes
+# to the network, and the /v1/batch frame reader every fleet client runs
+# on server bytes. `go test -fuzz` accepts one target per
 # invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz:
@@ -202,6 +207,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzHarvestTraceParse -fuzztime=$(FUZZTIME) ./internal/power/
 	$(GO) test -run=NONE -fuzz=FuzzJournalLine -fuzztime=$(FUZZTIME) ./internal/harness/
 	$(GO) test -run=NONE -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzBatchFrames -fuzztime=$(FUZZTIME) ./internal/remote/
 
 # Determinism lint: simulator internals must not read the wall clock (Now,
 # Since, After, Sleep, or timer construction) or the global math/rand stream
@@ -252,7 +258,8 @@ lint: vet
 # sweep output must stay byte-identical to the purely local golden, with
 # zero failed cells, and the remote summary must show the resilience
 # machinery actually fired (hedges under blackholes, remote cells despite
-# the kill). A local -resume of the chaos sweep's journal must then re-execute
+# the kill, cells answered from /v1/batch frames). A local -resume of the
+# chaos sweep's journal must then re-execute
 # zero cells and print the same bytes. A last pass against a dead fleet must
 # degrade every cell to local execution — same bytes again.
 remote-smoke:
@@ -304,6 +311,8 @@ remote-smoke:
 		|| { echo "remote-smoke: chaos sweep failed cells:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
 	grep -Eq ' hedges=[1-9]' $$tmp/sweep.log \
 		|| { echo "remote-smoke: blackholes never triggered a hedge:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
+	grep -Eq ' batched=[1-9]' $$tmp/sweep.log \
+		|| { echo "remote-smoke: no cell was answered from a /v1/batch frame:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
 	$$tmp/experiments $$args -journal $$tmp/sweep.jsonl -resume \
 		>$$tmp/resumed.json 2>$$tmp/resume.log || { cat $$tmp/resume.log; exit 1; }; \
 	diff -u $$tmp/golden.json $$tmp/resumed.json \
@@ -317,7 +326,7 @@ remote-smoke:
 		|| { echo "remote-smoke: dead-fleet sweep output differs from local golden"; exit 1; }; \
 	grep -Eq '^remote: cells=0 (fallback=[1-9]|fallback=0 unroutable=[1-9])' $$tmp/down.log \
 		|| { echo "remote-smoke: dead fleet did not degrade to local:"; grep '^remote:' $$tmp/down.log; exit 1; }; \
-	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local; its resume executed 0 cells; dead fleet degraded cleanly"
+	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local, batched cells included; its resume executed 0 cells; dead fleet degraded cleanly"
 
 ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke fuzz bench-smoke
 	$(GO) test -run=NONE -bench=BenchmarkFig10 -benchtime=1x ./...

@@ -4,16 +4,21 @@
 // trees, and fails when a median paired ratio is worse than its bound. Run
 // it from the repository root:
 //
-//	make bench-compare BASE=<rev> OUT=BENCH_<slug>.json
+//	make bench-compare BASE=<rev> OUT=BENCH_<slug>.json [CLAIM=<workload>/<metric>]
 //
-// OUT receives every run of both sides and every verdict. The exit status
-// is 1 when the change fails the gate and 2 when the comparison cannot run.
+// OUT receives every run of both sides and every verdict. A CLAIM names the
+// one metric a change says it improves; it adds a claim verdict that passes
+// only when the change beats the base in at least 9 of 10 pairs and its
+// median ratio is better than 1 by more than the base runs' IQR/median. The
+// exit status is 1 when the change fails the gate or its claim and 2 when
+// the comparison cannot run.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -34,6 +39,8 @@ const (
 	// record committed as BENCH_bench-compare.json.
 	loopBound = 0.10
 	loops     = "BenchmarkLoops"
+	// claimWins is how many of the pairs a claimed gain must win.
+	claimWins = 9
 )
 
 // loopLine matches one BenchmarkLoops sub-benchmark's go test line, e.g.
@@ -76,21 +83,30 @@ type record struct {
 	Base     string    `json:"base"`
 	Failures []string  `json:"failures"`
 	Verdicts []verdict `json:"verdicts"`
-	Runs     []run     `json:"runs"`
+	// Claim is the verdict on the claimed metric, when one was named.
+	Claim *verdict `json:"claim,omitempty"`
+	Runs  []run    `json:"runs"`
 }
 
 func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: benchcompare BASE OUT")
+	claim := flag.String("claim", "", "`workload/metric` the change claims to improve (e.g. fleet-warm/cells_per_s)")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchcompare [-claim workload/metric] BASE OUT")
+		flag.PrintDefaults()
+	}
+	flag.Parse()
+	if flag.NArg() != 2 {
+		flag.Usage()
 		os.Exit(2)
 	}
-	rec, err := compare(os.Args[1])
+	base, out := flag.Arg(0), flag.Arg(1)
+	rec, err := compare(base, *claim)
 	var raw []byte
 	if err == nil {
 		raw, err = json.MarshalIndent(rec, "", "  ")
 	}
 	if err == nil {
-		err = benchio.WriteFileAtomic(os.Args[2], append(raw, '\n'), 0o644)
+		err = benchio.WriteFileAtomic(out, append(raw, '\n'), 0o644)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcompare:", err)
@@ -99,6 +115,10 @@ func main() {
 	for _, v := range rec.Verdicts {
 		fmt.Printf("%-14s %-12s change/base %.4f  wins %2d/%d  base IQR %.4f  bound %.2f  %s\n",
 			v.Workload, v.Name, v.MedianRatio, v.Wins, pairs, v.BaseIQR, v.Bound, v.Verdict)
+	}
+	if v := rec.Claim; v != nil {
+		fmt.Printf("claim %s/%s: change/base %.4f  wins %2d/%d  base IQR %.4f  %s\n",
+			v.Workload, v.Name, v.MedianRatio, v.Wins, pairs, v.BaseIQR, v.Verdict)
 	}
 	for _, f := range rec.Failures {
 		fmt.Println("FAIL:", f)
@@ -110,8 +130,9 @@ func main() {
 
 // compare runs every pair with BASE exported to a temporary directory and
 // the working tree as the change. Pair i runs the base first when i is even
-// and the change first when it is odd; both sides use seed i+1.
-func compare(base string) (*record, error) {
+// and the change first when it is odd; both sides use seed i+1. A non-empty
+// claim (workload/metric) is checked against BENCHMARK.json before any run.
+func compare(base, claim string) (*record, error) {
 	var s struct {
 		Command    []string
 		RunSeconds int `json:"run_seconds"`
@@ -124,6 +145,15 @@ func compare(base string) (*record, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("reading BENCHMARK.json: %w", err)
+	}
+	var claimW, claimM string
+	if claim != "" {
+		var ok bool
+		claimW, claimM, ok = strings.Cut(claim, "/")
+		known := slices.ContainsFunc(s.Workloads, func(w struct{ Name string }) bool { return w.Name == claimW })
+		if !ok || !known || !slices.ContainsFunc(s.EndToEnd, func(m metric) bool { return m.Name == claimM }) {
+			return nil, fmt.Errorf("claim %q: want <workload>/<end-to-end metric> from BENCHMARK.json", claim)
+		}
 	}
 	dir, err := os.MkdirTemp("", "benchcompare-")
 	if err != nil {
@@ -168,6 +198,16 @@ func compare(base string) (*record, error) {
 		}
 		vs, fs := judgeWorkload(metrics, sides)
 		rec.Verdicts, rec.Failures = append(rec.Verdicts, vs...), append(rec.Failures, fs...)
+		for _, v := range vs {
+			if v.Workload == claimW && v.Name == claimM {
+				c := judgeClaim(v)
+				rec.Claim = &c
+				if c.Verdict != "pass" {
+					rec.Failures = append(rec.Failures, fmt.Sprintf("claim %s/%s: change/base %.4f with %d/%d wins, base IQR %.4f",
+						v.Workload, v.Name, v.MedianRatio, v.Wins, pairs, v.BaseIQR))
+				}
+			}
+		}
 		rec.Runs = slices.Concat(rec.Runs, sides[0], sides[1])
 	}
 	return rec, nil
@@ -237,6 +277,21 @@ func judgeWorkload(metrics []metric, sides [2][]run) (vs []verdict, failures []s
 		vs = append(vs, v)
 	}
 	return vs, failures
+}
+
+// judgeClaim turns a metric's verdict into the verdict on a claimed gain:
+// pass only when the change won at least claimWins of the pairs and its
+// median ratio is better than 1 by more than the base IQR/median.
+func judgeClaim(v verdict) verdict {
+	gain := v.MedianRatio - 1
+	if v.Better == "lower" {
+		gain = -gain
+	}
+	v.Verdict = "fail"
+	if v.Wins >= claimWins && gain > v.BaseIQR {
+		v.Verdict = "pass"
+	}
+	return v
 }
 
 // judge compares paired base and change values of one metric. It fails when

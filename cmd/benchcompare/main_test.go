@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -121,5 +122,40 @@ ok  	ipex/internal/nvp	6.123s
 	}
 	if got := parseLoops([]byte("FAIL\tipex/internal/nvp\n")); len(got) != 0 {
 		t.Errorf("output without BenchmarkLoops lines parsed as %v", got)
+	}
+}
+
+func TestJudgeClaim(t *testing.T) {
+	// A tight base: IQR/median 0.02.
+	tight := []float64{100, 101, 99, 100, 102, 98, 100, 101, 99, 100}
+	higher := metric{Name: "cells_per_s", Better: "higher", Bound: 0.25}
+	lower := metric{Name: "p50_ms", Better: "lower", Bound: 0.25}
+	// Nine clear wins and one loss.
+	nineWins := scaled(tight, 1.3)
+	nineWins[4] = tight[4] * 0.99
+	// Eight clear wins and two losses.
+	eightWins := slices.Clone(nineWins)
+	eightWins[7] = tight[7] * 0.99
+	for _, tc := range []struct {
+		name         string
+		m            metric
+		base, change []float64
+		want         string
+	}{
+		{"every pair wins by 30%", higher, tight, scaled(tight, 1.3), "pass"},
+		{"nine of ten pairs win", higher, tight, nineWins, "pass"},
+		{"eight of ten pairs win", higher, tight, eightWins, "fail"},
+		{"every pair wins inside the base IQR", higher, tight, scaled(tight, 1.01), "fail"},
+		{"no change", higher, tight, tight, "fail"},
+		{"lower is better and every pair wins", lower, tight, scaled(tight, 0.7), "pass"},
+		{"lower is better but the change is slower", lower, tight, scaled(tight, 1.3), "fail"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := judgeClaim(judge(tc.m, tc.base, tc.change))
+			if v.Verdict != tc.want {
+				t.Errorf("claim verdict %s with %d wins (median ratio %.4f, base IQR %.4f), want %s",
+					v.Verdict, v.Wins, v.MedianRatio, v.BaseIQR, tc.want)
+			}
+		})
 	}
 }

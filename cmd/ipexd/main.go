@@ -11,7 +11,9 @@
 //	curl -s -X POST localhost:8375/v1/run \
 //	    -d '{"app":"fft","scale":0.05,"config":{"ipex":"both"}}'
 //
-// Endpoints: POST /v1/run (simulate or serve cached), GET /v1/result/<key>
+// Endpoints: POST /v1/run (simulate or serve cached), POST /v1/batch (a
+// JSONL body of /v1/run bodies, answered by one streamed frame per item; see
+// internal/remote's batch framing), GET /v1/result/<key>
 // (cache probe, no simulation), /metrics (Prometheus text), /debug/vars
 // (expvar), /healthz (200 while serving, 503 once draining). Responses
 // carry X-Ipex-Key (the cell key), X-Ipex-Cache (hit, hit-disk, miss, or

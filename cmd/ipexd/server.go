@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -201,6 +203,7 @@ func (s *server) trace(src power.Source, seed uint64) *power.Trace {
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
+	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/result/", s.handleResult)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -285,6 +288,112 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveBody(w, key, outcome, body)
+}
+
+// handleBatch serves POST /v1/batch: a JSONL body of /v1/run bodies,
+// answered by one streamed frame per item in request order (the format is
+// remote.WriteBatchFrame's). The handler reads the body one line at a time
+// while it writes frames, and resolves each item through the calls
+// handleRun makes — DecodeRunRequest, Build, Key, store.GetOrCompute,
+// simulate — before it reads the next: a cold batch occupies one queue
+// slot rather than flooding the queue into 429s, and a warm one runs only
+// as far ahead as the client has sent lines. Each frame is flushed as soon
+// as its item is ready. Every item counts as one request and lands in
+// exactly one store outcome or the error counter, like a /v1/run request;
+// items beyond remote.MaxBatchItems are answered 413 frames, and the line
+// that takes the body past remote.MaxBatchBody is answered a 413 frame that
+// ends the stream.
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return
+	}
+	rc := http.NewResponseController(w)
+	// Without full duplex an HTTP/1 server reads the whole body before the
+	// first write; the client sends lines only as its workers need them.
+	_ = rc.EnableFullDuplex()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	body := bufio.NewReader(io.LimitReader(r.Body, remote.MaxBatchBody+1))
+	read, item := 0, 0
+	for {
+		line, err := body.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			// The client went away mid-line. Aborting closes the connection
+			// rather than reading the next request from it.
+			panic(http.ErrAbortHandler)
+		}
+		read += len(line)
+		capped := read > remote.MaxBatchBody
+		var key, cache string
+		var status int
+		var out []byte
+		switch {
+		case capped:
+			s.requests.Inc()
+			s.errs.Inc()
+			status, out = http.StatusRequestEntityTooLarge, []byte(fmt.Sprintf("batch body exceeds %d bytes", remote.MaxBatchBody))
+		case len(bytes.TrimSpace(line)) > 0:
+			key, status, cache, out = s.batchItem(item, line)
+			item++
+		case err != nil:
+			return
+		default:
+			continue
+		}
+		// A write failure means the client went away; see serveBody.
+		if remote.WriteBatchFrame(w, key, status, cache, out) != nil || rc.Flush() != nil {
+			panic(http.ErrAbortHandler)
+		}
+		if capped {
+			// The rest of the body is never read: end the stream and the
+			// connection with it.
+			panic(http.ErrAbortHandler)
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// batchItem resolves the i-th item of a /v1/batch body and counts it: the
+// frame's key (empty when the item never got one), status, cache outcome
+// and body.
+func (s *server) batchItem(i int, line []byte) (key string, status int, cache string, body []byte) {
+	s.requests.Inc()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	failed := func(code int, msg string) (string, int, string, []byte) {
+		s.errs.Inc()
+		return key, code, "", []byte(msg)
+	}
+	if i >= remote.MaxBatchItems {
+		return failed(http.StatusRequestEntityTooLarge, fmt.Sprintf("batch item %d beyond the %d-item cap", i, remote.MaxBatchItems))
+	}
+	rq, err := remote.DecodeRunRequest(bytes.NewReader(line))
+	if err != nil {
+		return failed(http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	}
+	sp, err := rq.Build(s.lim)
+	if err != nil {
+		return failed(http.StatusBadRequest, err.Error())
+	}
+	tr := s.trace(sp.Source, sp.Seed)
+	key = sp.Key(tr.Name, len(tr.Samples))
+	out, outcome, err := s.store.GetOrCompute(key, func() ([]byte, error) {
+		return s.simulate(key, sp, tr)
+	})
+	switch {
+	case err == nil:
+		return key, http.StatusOK, outcome.String(), out
+	case errors.Is(err, errBusy):
+		return failed(http.StatusTooManyRequests, err.Error())
+	case errors.Is(err, errDraining):
+		return failed(http.StatusServiceUnavailable, err.Error())
+	default:
+		return failed(http.StatusInternalServerError, err.Error())
+	}
 }
 
 // handleResult serves GET /v1/result/<key>: cache tiers only, never a

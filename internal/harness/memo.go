@@ -53,3 +53,12 @@ func (m *memo) finish(key string, c *memoCall, e *Entry) {
 	m.mu.Unlock()
 	close(c.done)
 }
+
+// finished reports whether key's leader has already published a shareable
+// entry, so every later copy of the key replays it.
+func (m *memo) finished(key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.calls[key]
+	return c != nil && c.entry != nil
+}

@@ -64,6 +64,12 @@ func (p *Pool) Run(cells []Cell) ([]nvp.Result, []error, error) {
 		enqueued = make([]time.Duration, len(cells))
 	}
 
+	// Remote-bound cells are requested in bulk before the first dispatch,
+	// so a worker answers them from results that have already arrived.
+	if release := sup.prefetch(cells); release != nil {
+		defer release()
+	}
+
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

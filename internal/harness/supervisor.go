@@ -123,6 +123,23 @@ type RemoteRunner interface {
 	RunRemote(key, label string, req []byte) (res nvp.Result, handled bool, err error)
 }
 
+// RemotePrefetcher is an optional extension of RemoteRunner. Before a Pool
+// dispatches a batch, it hands the runner the cells RunCell will really
+// send remote, so the runner can request them in bulk and answer each later
+// RunRemote from a result that has already arrived. The returned release
+// ends the prefetch: it is called once the batch has finished, and drops
+// whatever was fetched but not consumed.
+type RemotePrefetcher interface {
+	PrefetchRemote(cells []RemoteCell) (release func())
+}
+
+// RemoteCell is one cell offered to a RemotePrefetcher: its key, label and
+// declarative request, exactly as RunRemote will later receive them.
+type RemoteCell struct {
+	Key, Label string
+	Req        []byte
+}
+
 // Cell is one supervised unit of sweep work: a content-hash identity and
 // the closure that simulates it. Run receives a context that is non-nil
 // only when the wall-clock backstop is armed; implementations should thread
@@ -236,6 +253,41 @@ func (s *Supervisor) admit() bool {
 		return true
 	}
 	return s.admitted.Add(1) <= s.StopAfter
+}
+
+// prefetch offers a batch's remote-bound cells to a RemotePrefetcher and
+// returns its release (nil when there is nothing to prefetch). It passes
+// only the cells RunCell would really send remote — keyed, carrying a
+// request, not observed, not answered by Replay or by a finished memo
+// entry — each key once. It never calls Skip: RunCell consults Skip first,
+// once per cell, as a cell-start probe.
+func (s *Supervisor) prefetch(cells []Cell) func() {
+	if s == nil {
+		return nil
+	}
+	pf, ok := s.Remote.(RemotePrefetcher)
+	if !ok {
+		return nil
+	}
+	var batch []RemoteCell
+	seen := make(map[string]bool)
+	for _, c := range cells {
+		if c.Key == "" || len(c.RemoteReq) == 0 || c.Observed || seen[c.Key] {
+			continue
+		}
+		if e := s.Replay[c.Key]; e != nil && e.Kind == KindCell && e.Result != nil {
+			continue
+		}
+		if s.Journal != nil && s.memo.finished(c.Key) {
+			continue
+		}
+		seen[c.Key] = true
+		batch = append(batch, RemoteCell{Key: c.Key, Label: c.Label, Req: c.RemoteReq})
+	}
+	if len(batch) == 0 {
+		return nil
+	}
+	return pf.PrefetchRemote(batch)
 }
 
 // replay looks up a journaled result for the cell.

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -14,6 +13,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"ipex/internal/harness"
@@ -93,12 +93,19 @@ type Client struct {
 
 	hc           *http.Client
 	probeTimeout time.Duration
-	clock        trace.Clock
-	logf         func(string, ...any)
+	// streamHC carries /v1/batch streams: hc's transport without its
+	// whole-exchange Timeout, which a stream applies per frame instead.
+	streamHC *http.Client
+	clock    trace.Clock
+	logf     func(string, ...any)
 	// base bounds every attempt, probe, and backoff sleep (shutdown).
 	base context.Context
 	// sleepFn is the backoff sleep; tests substitute a recorder.
 	sleepFn func(context.Context, time.Duration)
+
+	// pending maps each key of a running prefetch to its batch future.
+	mu      sync.Mutex
+	pending map[string]*future
 
 	attempts     *trace.Counter
 	okAttempts   *trace.Counter
@@ -117,6 +124,7 @@ type Client struct {
 	cellsFall    *trace.Counter
 	cellsUnrt    *trace.Counter
 	cellsFailed  *trace.Counter
+	batchedCells *trace.Counter
 
 	attemptSeconds *trace.Histogram
 	backoffSeconds *trace.Histogram
@@ -159,6 +167,8 @@ func NewClient(o Options) (*Client, error) {
 		noFall:       o.NoLocalFallback,
 		hc:           &http.Client{Timeout: o.Timeout, Transport: o.Transport},
 		probeTimeout: probeTimeout,
+		streamHC:     &http.Client{Transport: o.Transport},
+		pending:      make(map[string]*future),
 		clock:        o.Clock,
 		logf:         o.Logf,
 		base:         base,
@@ -181,6 +191,7 @@ func NewClient(o Options) (*Client, error) {
 		cellsFall:    reg.Counter("remote.cells_local_fallback"),
 		cellsUnrt:    reg.Counter("remote.cells_unroutable"),
 		cellsFailed:  reg.Counter("remote.cells_failed"),
+		batchedCells: reg.Counter("remote.cells_batched"),
 
 		attemptSeconds: reg.Histogram("remote.attempt_seconds", nil),
 		backoffSeconds: reg.Histogram("remote.backoff_seconds", nil),
@@ -229,11 +240,7 @@ func (c *Client) rank(key string) []*serverState {
 	}
 	sc := make([]scored, len(c.servers))
 	for i, s := range c.servers {
-		h := fnv.New64a()
-		io.WriteString(h, key)
-		h.Write([]byte{0})
-		io.WriteString(h, s.url)
-		sc[i] = scored{s, h.Sum64()}
+		sc[i] = scored{s, rendezvous(key, s.url)}
 	}
 	sort.Slice(sc, func(i, j int) bool {
 		if sc[i].h != sc[j].h {
@@ -246,6 +253,15 @@ func (c *Client) rank(key string) []*serverState {
 		out[i] = sc[i].s
 	}
 	return out
+}
+
+// rendezvous scores server url for key: rank orders servers by it.
+func rendezvous(key, url string) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, key)
+	h.Write([]byte{0})
+	io.WriteString(h, url)
+	return h.Sum64()
 }
 
 // route picks the primary (and, when hedging is enabled, a hedge backup)
@@ -314,17 +330,37 @@ func (c *Client) probeHealth(s *serverState) bool {
 // rounds (each possibly hedged), deterministic jittered backoff between
 // rounds (a server Retry-After, capped, takes precedence), and graceful
 // degradation — handled=false tells the harness to run the cell locally.
-// It implements harness.RemoteRunner.
+// A cell a running prefetch batched is answered from its frame instead
+// (see awaitBatch). It implements harness.RemoteRunner.
 func (c *Client) RunRemote(key, label string, req []byte) (res nvp.Result, handled bool, err error) {
+	if f := c.prefetched(key); f != nil {
+		return c.awaitBatch(f, key, label, req)
+	}
+	return c.conclude(key, label, c.runCell(c.base, key, req))
+}
+
+// cellOut is the per-cell path's conclusion: a verified result (err nil),
+// or the last error after rounds attempt rounds.
+type cellOut struct {
+	res    nvp.Result
+	err    error
+	rounds int
+}
+
+// runCell is the per-cell path: attempt rounds against the routed servers
+// until one verifies or the retry budget runs out. ctx bounds it — the
+// client's base context, or a narrower one a batch frame cancels when it
+// wins the race. It counts no cell outcome; conclude does.
+func (c *Client) runCell(ctx context.Context, key string, req []byte) cellOut {
 	var lastErr error
 	var raHint time.Duration
 	var raFrom *serverState
 	rounds := 0
 	for round := 0; round <= c.retries; round++ {
-		if c.base.Err() != nil {
+		if ctx.Err() != nil {
 			// Sweep shutdown: stop spending the remote budget and degrade.
 			if lastErr == nil {
-				lastErr = c.base.Err()
+				lastErr = ctx.Err()
 			}
 			break
 		}
@@ -341,24 +377,33 @@ func (c *Client) RunRemote(key, label string, req []byte) (res nvp.Result, handl
 			if raFrom != primary.s {
 				hint = 0
 			}
-			c.sleepBackoff(key, round, hint)
+			c.sleepBackoff(ctx, key, round, hint)
 		}
 		rounds++
-		out, hint, hintFrom, aerr := c.attemptHedged(primary, backup, key, req)
+		out, hint, hintFrom, aerr := c.attemptHedged(ctx, primary, backup, key, req)
 		if aerr == nil {
-			c.cellsRemote.Inc()
-			return out, true, nil
+			return cellOut{res: out, rounds: rounds}
 		}
 		lastErr, raHint, raFrom = aerr, hint, hintFrom
 	}
+	if lastErr == nil {
+		lastErr = errAllOpen
+	}
+	return cellOut{err: lastErr, rounds: rounds}
+}
+
+// conclude counts a cell's outcome — remote, failed, unroutable or local
+// fallback — and turns it into RunRemote's answer.
+func (c *Client) conclude(key, label string, out cellOut) (nvp.Result, bool, error) {
+	if out.err == nil {
+		c.cellsRemote.Inc()
+		return out.res, true, nil
+	}
 	if c.noFall {
 		c.cellsFailed.Inc()
-		if lastErr == nil {
-			lastErr = errAllOpen
-		}
-		return nvp.Result{}, true, fmt.Errorf("remote: %s (%s): budget exhausted with local fallback disabled: %w", label, key, lastErr)
+		return nvp.Result{}, true, fmt.Errorf("remote: %s (%s): budget exhausted with local fallback disabled: %w", label, key, out.err)
 	}
-	if rounds == 0 {
+	if out.rounds == 0 {
 		c.cellsUnrt.Inc()
 		if c.logf != nil {
 			if c.base.Err() != nil {
@@ -370,7 +415,7 @@ func (c *Client) RunRemote(key, label string, req []byte) (res nvp.Result, handl
 	} else {
 		c.cellsFall.Inc()
 		if c.logf != nil {
-			c.logf("remote: %s: retry budget exhausted (%v); simulating locally", label, lastErr)
+			c.logf("remote: %s: retry budget exhausted (%v); simulating locally", label, out.err)
 		}
 	}
 	return nvp.Result{}, false, nil
@@ -381,7 +426,7 @@ func (c *Client) RunRemote(key, label string, req []byte) (res nvp.Result, handl
 // (harness.BackoffDelay) plus deterministic key-seeded jitter. The chosen delay — not the measured sleep
 // — feeds the backoff histogram, so the series is as deterministic as the
 // schedule itself.
-func (c *Client) sleepBackoff(key string, round int, retryAfter time.Duration) {
+func (c *Client) sleepBackoff(ctx context.Context, key string, round int, retryAfter time.Duration) {
 	var d time.Duration
 	if retryAfter > 0 {
 		d = retryAfter
@@ -404,7 +449,7 @@ func (c *Client) sleepBackoff(key string, round int, retryAfter time.Duration) {
 		}
 	}
 	c.backoffSeconds.Observe(d.Seconds())
-	c.sleepFn(c.base, d)
+	c.sleepFn(ctx, d)
 }
 
 // attemptOut is one HTTP attempt's conclusion. srv identifies the server
@@ -421,9 +466,9 @@ type attemptOut struct {
 // the first verified response wins and the loser is cancelled. It fails
 // only when every launched attempt failed; alongside the error it returns
 // any Retry-After hint and the server that sent it.
-func (c *Client) attemptHedged(primary, backup *target, key string, req []byte) (nvp.Result, time.Duration, *serverState, error) {
+func (c *Client) attemptHedged(ctx context.Context, primary, backup *target, key string, req []byte) (nvp.Result, time.Duration, *serverState, error) {
 	ch := make(chan attemptOut, 2)
-	pctx, pcancel := context.WithCancel(c.base)
+	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	go c.attempt(pctx, primary, key, req, false, ch)
 	launched := 1
@@ -444,7 +489,7 @@ func (c *Client) attemptHedged(primary, backup *target, key string, req []byte) 
 		select {
 		case <-t.C:
 			c.hedges.Inc()
-			hctx, hc := context.WithCancel(c.base)
+			hctx, hc := context.WithCancel(ctx)
 			defer hc()
 			hcancel = hc
 			go c.attempt(hctx, backup, key, req, true, ch)
@@ -580,10 +625,8 @@ func (c *Client) doOnce(ctx context.Context, s *serverState, key string, body []
 		return nvp.Result{}, 0, 0, outcomeVerify,
 			fmt.Errorf("%s: body checksum mismatch (%d bytes)", s.url, len(data))
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var res nvp.Result
-	if err := dec.Decode(&res); err != nil {
+	res, err := decodeResult(data)
+	if err != nil {
 		return nvp.Result{}, 0, 0, outcomeVerify,
 			fmt.Errorf("%s: decoding verified body: %w", s.url, err)
 	}
@@ -625,13 +668,17 @@ func firstLine(b []byte) string {
 // Snapshot is a point-in-time copy of the client's counters, for tests and
 // the end-of-sweep summary. Attempts partition exactly:
 // Attempts = OK + StatusErrors + NetErrors + VerifyErrors + Cancelled,
-// and cells partition exactly:
+// where each cell of a /v1/batch stream counts as one attempt, and cells
+// partition exactly:
 // CellsRemote + CellsLocalFallback + CellsUnroutable + CellsFailed = calls.
+// Batched counts the remote cells answered from a batch frame (a subset of
+// CellsRemote).
 type Snapshot struct {
 	Attempts, OK, StatusErrors, NetErrors, VerifyErrors, Cancelled uint64
 	Hedges, HedgeWins, Retries, RetryAfterHonored                  uint64
 	BreakerOpens, Probes, ProbeFailures                            uint64
 	CellsRemote, CellsLocalFallback, CellsUnroutable, CellsFailed  uint64
+	Batched                                                        uint64
 }
 
 // Snapshot reads every counter (each individually; not a consistent cut).
@@ -654,6 +701,7 @@ func (c *Client) Snapshot() Snapshot {
 		CellsLocalFallback: c.cellsFall.Load(),
 		CellsUnroutable:    c.cellsUnrt.Load(),
 		CellsFailed:        c.cellsFailed.Load(),
+		Batched:            c.batchedCells.Load(),
 	}
 }
 
@@ -661,10 +709,10 @@ func (c *Client) Snapshot() Snapshot {
 // stderr (stable key=value form; make remote-smoke parses it).
 func (c *Client) Summary() string {
 	s := c.Snapshot()
-	return fmt.Sprintf("remote: cells=%d fallback=%d unroutable=%d failed=%d attempts=%d ok=%d status_errors=%d net_errors=%d verify_errors=%d cancelled=%d retries=%d hedges=%d hedge_wins=%d breaker_opens=%d",
+	return fmt.Sprintf("remote: cells=%d fallback=%d unroutable=%d failed=%d attempts=%d ok=%d status_errors=%d net_errors=%d verify_errors=%d cancelled=%d retries=%d hedges=%d hedge_wins=%d breaker_opens=%d batched=%d",
 		s.CellsRemote, s.CellsLocalFallback, s.CellsUnroutable, s.CellsFailed,
 		s.Attempts, s.OK, s.StatusErrors, s.NetErrors, s.VerifyErrors, s.Cancelled,
-		s.Retries, s.Hedges, s.HedgeWins, s.BreakerOpens)
+		s.Retries, s.Hedges, s.HedgeWins, s.BreakerOpens, s.Batched)
 }
 
 // WriteProm renders the per-server series (breaker state, attempts,

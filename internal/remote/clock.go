@@ -32,3 +32,12 @@ func realSleep(ctx context.Context, d time.Duration) {
 func hedgeTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
+
+// stallTimer returns a stopped timer that calls f once d has passed after
+// its next Reset. A batch stream resets it while it is owed frames and
+// stops it while it is not (see batchStream).
+func stallTimer(d time.Duration, f func()) *time.Timer {
+	t := time.AfterFunc(d, f)
+	t.Stop()
+	return t
+}
