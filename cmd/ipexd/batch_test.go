@@ -276,3 +276,49 @@ func TestBatchUsesFleetWarmPath(t *testing.T) {
 	}
 	checkAttemptPartition(t, s)
 }
+
+// TestBatchDrainEndsIdleStream pins the drain: a /v1/batch stream waiting
+// for its client's next line ends as soon as the server begins draining,
+// instead of holding the graceful shutdown open.
+func TestBatchDrainEndsIdleStream(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir(), 1, 4)
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go func() { _, _ = pw.Write([]byte(`{"app":"fft","scale":0.02}` + "\n")) }()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f remote.BatchFrame
+	if err := json.Unmarshal(line, &f); err != nil || f.Status != http.StatusOK {
+		t.Fatalf("first frame %q: %v", line, err)
+	}
+	if _, err := io.ReadFull(br, make([]byte, f.Len)); err != nil {
+		t.Fatal(err)
+	}
+
+	s.beginDrain()
+	ended := make(chan error, 1)
+	go func() {
+		_, err := br.ReadByte()
+		ended <- err
+	}()
+	select {
+	case err := <-ended:
+		if err == nil {
+			t.Fatal("the stream went on after the drain began")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an idle stream still held the connection 5s into the drain")
+	}
+}

@@ -88,6 +88,10 @@ type server struct {
 	qclosed  bool
 	wg       sync.WaitGroup
 	draining atomic.Bool
+	// drained is cancelled when the drain begins; /v1/batch streams end
+	// instead of waiting for their clients' next lines.
+	drained  context.Context
+	drainNow context.CancelFunc
 
 	inflight atomic.Int64
 	requests *trace.Counter
@@ -132,6 +136,7 @@ func newServer(store *resultstore.Store, reg *trace.Registry, sup *harness.Super
 		runSeconds:    reg.Histogram("ipexd.run_seconds", nil),
 		resultSeconds: reg.Histogram("ipexd.result_seconds", nil),
 	}
+	s.drained, s.drainNow = context.WithCancel(context.Background())
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
 		go func() {
@@ -171,6 +176,7 @@ func (s *server) enqueue(t task) error {
 // absorbing (and 503-failing) a last wave of requests.
 func (s *server) beginDrain() {
 	s.draining.Store(true)
+	s.drainNow()
 }
 
 // close drains the worker pool: no further enqueues, queued tasks finish,
@@ -178,6 +184,7 @@ func (s *server) beginDrain() {
 // mid-enqueue).
 func (s *server) close() {
 	s.draining.Store(true)
+	s.drainNow()
 	s.qmu.Lock()
 	if !s.qclosed {
 		s.qclosed = true
@@ -313,6 +320,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Without full duplex an HTTP/1 server reads the whole body before the
 	// first write; the client sends lines only as its workers need them.
 	_ = rc.EnableFullDuplex()
+	// A stream waiting for its client's next line would hold a graceful
+	// drain until -drain-timeout. Once the drain begins, that read fails at
+	// once and the stream ends; its cells take the per-cell path.
+	stop := context.AfterFunc(s.drained, func() { _ = rc.SetReadDeadline(time.Unix(1, 0)) })
+	defer stop()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	body := bufio.NewReader(io.LimitReader(r.Body, remote.MaxBatchBody+1))
@@ -320,8 +332,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for {
 		line, err := body.ReadBytes('\n')
 		if err != nil && err != io.EOF {
-			// The client went away mid-line. Aborting closes the connection
-			// rather than reading the next request from it.
+			// The client went away mid-line, or the drain began. Aborting
+			// closes the connection rather than reading the next request
+			// from it.
 			panic(http.ErrAbortHandler)
 		}
 		read += len(line)
