@@ -21,13 +21,14 @@ race:
 
 # Focused race pass over the crash-safety layer (worker pool, supervisor,
 # journal, cell plumbing), the remote-execution client + chaos proxy
-# (hedge races, breaker transitions, concurrent fault injection) and ipexd
-# (the /v1/batch handler, and batch frames racing per-cell hedges).
+# (hedge races, breaker transitions, concurrent fault injection), ipexd
+# (the /v1/batch handler, and batch frames racing per-cell hedges) and
+# internal/trace (the clock, sleep and timer seam all of them wait on).
 # `make race` covers these too; this is the quick iteration loop while
 # touching the harness.
 race-harness:
 	$(GO) test -race -count=2 ./internal/harness ./internal/experiments \
-		./internal/remote ./internal/faultnet ./cmd/ipexd
+		./internal/remote ./internal/faultnet ./internal/trace ./cmd/ipexd
 
 # Paired comparison of the working tree against BASE on the repository
 # benchmark: every BENCHMARK.json workload and BenchmarkLoops in 10 pairs
@@ -211,25 +212,22 @@ fuzz:
 
 # Determinism lint: simulator internals must not read the wall clock (Now,
 # Since, After, Sleep, or timer construction) or the global math/rand stream
-# — both would break replayable, seed-stable results. The documented
-# exceptions: internal/harness/watchdog.go (the wall-clock cell backstop and
-# retry backoff), internal/trace/clock.go (the one wall-clock Clock
-# implementation everything observable injects), internal/remote/clock.go
-# (backoff sleeps and the hedge timer), and internal/faultnet/clock.go
-# (blackhole hold timing). None of them touch simulated results.
+# — both would break replayable, seed-stable results. The one exception is
+# internal/trace/clock.go: the wall-clock Clock every latency span injects,
+# plus the real sleeps, timers and deadlines that retry backoff, hedging,
+# batch-stream stalls and chaos-proxy holds wait on. None of them touch
+# simulated results.
 lint: vet
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' internal/ --include='*.go' \
-		| grep -v '^internal/harness/watchdog\.go:' \
-		| grep -v '^internal/trace/clock\.go:' | grep -v '^internal/remote/clock\.go:' \
-		| grep -v '^internal/faultnet/clock\.go:' \
+		| grep -v '^internal/trace/clock\.go:' \
 		| grep -v '_test\.go'); \
 	if [ -n "$$bad" ]; then \
-		echo "lint: wall-clock use in simulator internals (only the harness watchdog and the per-package clock.go files may):"; \
+		echo "lint: wall-clock use in simulator internals (only internal/trace/clock.go may read the clock, sleep or arm a timer):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"math/rand"' internal/ --include='*.go'); \
 	if [ -n "$$bad" ]; then \
-		echo "lint: math/rand import in internal/ (use the seeded PRNGs in internal/power):"; \
+		echo "lint: math/rand import in internal/ (use the seeded PRNG in internal/rng):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"net/http"\|"expvar"' internal/ *.go --include='*.go' \

@@ -102,13 +102,6 @@ type server struct {
 	clock         trace.Clock
 	runSeconds    *trace.Histogram
 	resultSeconds *trace.Histogram
-
-	traces sync.Map // traceKey → *power.Trace
-}
-
-type traceKey struct {
-	src  power.Source
-	seed uint64
 }
 
 // newServer wires the store, registry, and supervisor together and starts
@@ -194,18 +187,6 @@ func (s *server) close() {
 	s.wg.Wait()
 }
 
-// trace returns the memoized synthetic power trace for (source, seed) —
-// generation is deterministic and traces are read-only, so every request
-// for the pair shares one instance.
-func (s *server) trace(src power.Source, seed uint64) *power.Trace {
-	key := traceKey{src: src, seed: seed}
-	if v, ok := s.traces.Load(key); ok {
-		return v.(*power.Trace)
-	}
-	v, _ := s.traces.LoadOrStore(key, power.Generate(src, power.DefaultTraceSamples, seed))
-	return v.(*power.Trace)
-}
-
 // mux builds the server's routing table.
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -228,22 +209,6 @@ func (s *server) mux() *http.ServeMux {
 	return mux
 }
 
-// now reads the injected clock (0 when none — latency spans off).
-func (s *server) now() time.Duration {
-	if s.clock == nil {
-		return 0
-	}
-	return s.clock.Now()
-}
-
-// observe records now-start into h when a clock is installed.
-func (s *server) observe(h *trace.Histogram, start time.Duration) {
-	if s.clock == nil {
-		return
-	}
-	h.ObserveDuration(s.clock.Now() - start)
-}
-
 // fail counts and writes one error response. Every counted request ends in
 // exactly one bucket — a store outcome or this error counter — so the
 // /metrics sums stay exact: requests = mem_hits + disk_hits + computed +
@@ -263,46 +228,56 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	start := s.now()
-	defer func() { s.observe(s.runSeconds, start) }()
+	start := trace.Start(s.clock)
+	defer trace.Span(s.clock, s.runSeconds, start)
 
-	rq, err := remote.DecodeRunRequest(r.Body)
+	key, outcome, body, code, err := s.resolve(r.Body)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return
-	}
-	sp, err := rq.Build(s.lim)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tr := s.trace(sp.Source, sp.Seed)
-	key := sp.Key(tr.Name, len(tr.Samples))
-
-	body, outcome, err := s.store.GetOrCompute(key, func() ([]byte, error) {
-		return s.simulate(key, sp, tr)
-	})
-	if err != nil {
-		switch {
-		case errors.Is(err, errBusy):
+		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", retryAfterSecs(key))
-			s.fail(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, errDraining):
-			s.fail(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			s.fail(w, http.StatusInternalServerError, err.Error())
 		}
+		s.fail(w, code, err.Error())
 		return
 	}
 	s.serveBody(w, key, outcome, body)
 }
 
+// resolve answers one /v1/run body — the whole of a /v1/run request and
+// one item of a /v1/batch stream: decode, build, key, then the store
+// (cache tiers, singleflight, or a simulation on the worker pool). On
+// failure it returns the response status and an error whose text is the
+// response message; key is set once the body got one.
+func (s *server) resolve(r io.Reader) (key string, outcome resultstore.Outcome, body []byte, code int, err error) {
+	rq, err := remote.DecodeRunRequest(r)
+	if err != nil {
+		return "", 0, nil, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+	}
+	sp, err := rq.Build(s.lim)
+	if err != nil {
+		return "", 0, nil, http.StatusBadRequest, err
+	}
+	tr := power.Shared(sp.Source, sp.Seed)
+	key = sp.Key(tr.Name, len(tr.Samples))
+	body, outcome, err = s.store.GetOrCompute(key, func() ([]byte, error) {
+		return s.simulate(key, sp, tr)
+	})
+	switch {
+	case err == nil:
+		return key, outcome, body, http.StatusOK, nil
+	case errors.Is(err, errBusy):
+		return key, 0, nil, http.StatusTooManyRequests, err
+	case errors.Is(err, errDraining):
+		return key, 0, nil, http.StatusServiceUnavailable, err
+	default:
+		return key, 0, nil, http.StatusInternalServerError, err
+	}
+}
+
 // handleBatch serves POST /v1/batch: a JSONL body of /v1/run bodies,
 // answered by one streamed frame per item in request order (the format is
 // remote.WriteBatchFrame's). The handler reads the body one line at a time
-// while it writes frames, and resolves each item through the calls
-// handleRun makes — DecodeRunRequest, Build, Key, store.GetOrCompute,
-// simulate — before it reads the next: a cold batch occupies one queue
+// while it writes frames, and resolves each item through resolve, as
+// handleRun does, before it reads the next: a cold batch occupies one queue
 // slot rather than flooding the queue into 429s, and a warm one runs only
 // as far ahead as the client has sent lines. Each frame is flushed as soon
 // as its item is ready. Every item counts as one request and lands in
@@ -377,36 +352,16 @@ func (s *server) batchItem(i int, line []byte) (key string, status int, cache st
 	s.requests.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	failed := func(code int, msg string) (string, int, string, []byte) {
-		s.errs.Inc()
-		return key, code, "", []byte(msg)
-	}
 	if i >= remote.MaxBatchItems {
-		return failed(http.StatusRequestEntityTooLarge, fmt.Sprintf("batch item %d beyond the %d-item cap", i, remote.MaxBatchItems))
+		s.errs.Inc()
+		return "", http.StatusRequestEntityTooLarge, "", []byte(fmt.Sprintf("batch item %d beyond the %d-item cap", i, remote.MaxBatchItems))
 	}
-	rq, err := remote.DecodeRunRequest(bytes.NewReader(line))
+	key, outcome, body, status, err := s.resolve(bytes.NewReader(line))
 	if err != nil {
-		return failed(http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		s.errs.Inc()
+		return key, status, "", []byte(err.Error())
 	}
-	sp, err := rq.Build(s.lim)
-	if err != nil {
-		return failed(http.StatusBadRequest, err.Error())
-	}
-	tr := s.trace(sp.Source, sp.Seed)
-	key = sp.Key(tr.Name, len(tr.Samples))
-	out, outcome, err := s.store.GetOrCompute(key, func() ([]byte, error) {
-		return s.simulate(key, sp, tr)
-	})
-	switch {
-	case err == nil:
-		return key, http.StatusOK, outcome.String(), out
-	case errors.Is(err, errBusy):
-		return failed(http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, errDraining):
-		return failed(http.StatusServiceUnavailable, err.Error())
-	default:
-		return failed(http.StatusInternalServerError, err.Error())
-	}
+	return key, status, outcome.String(), body
 }
 
 // handleResult serves GET /v1/result/<key>: cache tiers only, never a
@@ -418,8 +373,8 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Inc()
-	start := s.now()
-	defer func() { s.observe(s.resultSeconds, start) }()
+	start := trace.Start(s.clock)
+	defer trace.Span(s.clock, s.resultSeconds, start)
 	key := strings.TrimPrefix(r.URL.Path, "/v1/result/")
 	if key == "" || strings.ContainsAny(key, "/.") {
 		s.fail(w, http.StatusBadRequest, "want /v1/result/<cell key>")

@@ -13,7 +13,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 
 	"ipex/internal/harness"
 	"ipex/internal/nvp"
@@ -120,24 +119,10 @@ func (o Options) norm() Options {
 	return o
 }
 
-// traceMemo caches generated power traces by (source, seed). Generation is
-// deterministic and traces are read-only once built, so every experiment of
-// a sweep shares one instance instead of re-synthesizing ~50k samples each.
-var traceMemo sync.Map
-
-type traceKey struct {
-	src  power.Source
-	seed uint64
-}
-
-// trace builds (or replays) the shared power trace for a source.
+// trace returns the sweep's shared power trace for a source: every
+// experiment of a sweep replays one instance per (source, TraceSeed).
 func (o Options) trace(src power.Source) *power.Trace {
-	key := traceKey{src: src, seed: o.TraceSeed}
-	if v, ok := traceMemo.Load(key); ok {
-		return v.(*power.Trace)
-	}
-	v, _ := traceMemo.LoadOrStore(key, power.Generate(src, power.DefaultTraceSamples, o.TraceSeed))
-	return v.(*power.Trace)
+	return power.Shared(src, o.TraceSeed)
 }
 
 // job is one simulation request.

@@ -20,6 +20,7 @@
 package faultnet
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"ipex/internal/rng"
+	"ipex/internal/trace"
 )
 
 // Config selects the fault mix. All probabilities are per accepted
@@ -234,7 +236,7 @@ func (p *Proxy) serve(client net.Conn, seq uint64) {
 		// silent: the client's deadline or hedge must save it. The hold is
 		// bounded so a proxy shutdown does not hang on blackholed conns.
 		p.Counters.Blackholes.Add(1)
-		_ = client.SetReadDeadline(holdDeadline(p.cfg.MaxHold))
+		_ = client.SetReadDeadline(trace.Deadline(p.cfg.MaxHold))
 		_, _ = io.Copy(io.Discard, client)
 		return
 	case faultReject429:
@@ -245,7 +247,7 @@ func (p *Proxy) serve(client net.Conn, seq uint64) {
 
 	if delayed {
 		p.Counters.Delays.Add(1)
-		holdSleep(p.cfg.Latency)
+		trace.Sleep(context.Background(), p.cfg.Latency)
 	}
 
 	up, err := net.Dial("tcp", p.upstream)
@@ -294,7 +296,7 @@ func (p *Proxy) serve(client net.Conn, seq uint64) {
 func (p *Proxy) reject429(client net.Conn) {
 	// Drain the request first so the client does not see a reset while
 	// still writing its body.
-	_ = client.SetReadDeadline(holdDeadline(time.Second))
+	_ = client.SetReadDeadline(trace.Deadline(time.Second))
 	buf := make([]byte, 4096)
 	for {
 		n, err := client.Read(buf)

@@ -1,18 +1,13 @@
 package harness
 
-import (
-	"time"
-
-	"ipex/internal/trace"
-)
+import "ipex/internal/trace"
 
 // Obs records cell-lifecycle spans — where a cell's wall time goes between
 // entering the pool and landing in the journal. Spans live only in the
 // metrics registry (and whatever scrapes it); they never enter the journal
 // or a result, which must stay byte-deterministic. The Supervisor and Pool
-// treat a nil *Obs as "off": every method is nil-receiver safe and the
-// instrumented paths pay one nil compare plus, when enabled, two Clock
-// reads per span.
+// treat a nil *Obs as "off": the instrumented paths pay one nil compare
+// plus, when enabled, two Clock reads per span (trace.Start, trace.Span).
 //
 // The four spans:
 //
@@ -44,29 +39,4 @@ func NewObs(clock trace.Clock, reg *trace.Registry) *Obs {
 		Backoff:       reg.Histogram("harness.backoff_seconds", nil),
 		JournalAppend: reg.Histogram("harness.journal_append_seconds", nil),
 	}
-}
-
-// now reads the clock; 0 when spans are off.
-func (o *Obs) now() time.Duration {
-	if o == nil || o.Clock == nil {
-		return 0
-	}
-	return o.Clock.Now()
-}
-
-// observeBackoff records a deterministic retry delay; a no-op when spans
-// are off.
-func (o *Obs) observeBackoff(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.Backoff.ObserveDuration(d)
-}
-
-// span records now-start into h; a no-op when spans are off.
-func (o *Obs) span(h *trace.Histogram, start time.Duration) {
-	if o == nil || o.Clock == nil {
-		return
-	}
-	h.ObserveDuration(o.Clock.Now() - start)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ipex/internal/nvp"
+	"ipex/internal/trace"
 )
 
 // Pool executes a batch of supervised cells on a bounded worker pool,
@@ -83,7 +84,7 @@ func (p *Pool) Run(cells []Cell) ([]nvp.Result, []error, error) {
 			arena := nvp.NewArena()
 			for i := range idx {
 				if obs != nil {
-					obs.span(obs.QueueWait, enqueued[i])
+					trace.Span(obs.Clock, obs.QueueWait, enqueued[i])
 				}
 				res, err, replayed := sup.RunCell(cells[i], arena)
 				results[i], errs[i], ran[i] = res, err, true
@@ -102,7 +103,7 @@ dispatch:
 			break
 		}
 		if obs != nil {
-			enqueued[i] = obs.now()
+			enqueued[i] = trace.Start(obs.Clock)
 		}
 		if p.Ctx != nil {
 			// Cancellation gets priority: a select with both a ready worker

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ipex/internal/nvp"
+	"ipex/internal/trace"
 )
 
 // ErrInterrupted is wrapped by Pool.Run's error when the sweep stopped
@@ -413,6 +414,42 @@ func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, *Entry) {
 	return res, nil, e
 }
 
+// BackoffDelay is the deterministic exponential delay before retry number
+// `attempt` (1-based): base << (attempt-1), capped at 32× the base. No
+// jitter: the schedule depends only on the attempt count, so retry
+// behaviour is reproducible run to run. Exported because the remote
+// client (internal/remote) spaces its fleet retries on the same curve,
+// adding only its key-seeded jitter.
+func BackoffDelay(base time.Duration, attempt int) time.Duration {
+	if base <= 0 {
+		return 0
+	}
+	shift := attempt - 1
+	if shift < 0 {
+		shift = 0
+	}
+	if shift > 5 {
+		shift = 5
+	}
+	return base << shift
+}
+
+// backoff sleeps the deterministic retry delay (see BackoffDelay). The
+// sleep only spaces retries out; it is invisible in journals and output.
+func (s *Supervisor) backoff(attempt int) {
+	if s == nil || s.BackoffBase <= 0 {
+		return
+	}
+	d := BackoffDelay(s.BackoffBase, attempt)
+	// The span observes the deterministic delay itself (not a clock
+	// measurement of the sleep): the schedule is exact by construction, and
+	// recording the schedule keeps the backoff histogram reproducible.
+	if o := s.Obs; o != nil {
+		o.Backoff.ObserveDuration(d)
+	}
+	trace.Sleep(context.Background(), d)
+}
+
 // SkippedResult is the placeholder a Skip-filtered cell returns: marked
 // Completed with unit cycle/instruction counts so downstream sweep
 // arithmetic (speedup ratios, completeness filters) neither aborts the
@@ -451,31 +488,40 @@ func (s *Supervisor) journal(e Entry) {
 	if s == nil || s.Journal == nil || e.Key == "" {
 		return
 	}
-	start := s.Obs.now()
+	o := s.Obs
+	var start time.Duration
+	if o != nil {
+		start = trace.Start(o.Clock)
+	}
 	// The append error is intentionally not fatal; see above.
 	_ = s.Journal.Append(e)
-	if o := s.Obs; o != nil {
-		o.span(o.JournalAppend, start)
+	if o != nil {
+		trace.Span(o.Clock, o.JournalAppend, start)
 	}
 }
 
 // runOnce performs a single recover()-isolated attempt, arming the
-// wall-clock watchdog when configured.
+// wall-clock watchdog when configured. The watchdog merely cancels a wedged
+// cell, which then stops at a power-cycle boundary.
 func (s *Supervisor) runOnce(c Cell, a *nvp.Arena) (res nvp.Result, err error) {
 	var ctx context.Context
 	cancel := func() {}
 	if s != nil && s.WallBackstop > 0 {
-		ctx, cancel = backstopContext(s.WallBackstop)
+		ctx, cancel = context.WithTimeout(context.Background(), s.WallBackstop)
 	}
 	defer cancel()
-	start := s.obs().now()
+	o := s.obs()
+	var start time.Duration
+	if o != nil {
+		start = trace.Start(o.Clock)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 		}
 		// Inside the recover defer so a panicking attempt is still timed.
-		if o := s.obs(); o != nil {
-			o.span(o.Attempt, start)
+		if o != nil {
+			trace.Span(o.Clock, o.Attempt, start)
 		}
 	}()
 	res, err = c.Run(ctx, a)

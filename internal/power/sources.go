@@ -3,6 +3,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ipex/internal/rng"
 )
@@ -58,6 +59,28 @@ func ParseSource(name string) (Source, error) {
 // 0.5 s of harvesting, long enough that replay wraparound does not correlate
 // with program phase.
 const DefaultTraceSamples = 50_000
+
+// shared memoizes default-length traces by (source, seed) for Shared.
+var shared sync.Map // sharedKey → *Trace
+
+type sharedKey struct {
+	src  Source
+	seed uint64
+}
+
+// Shared returns the process-wide default-length trace of src under seed,
+// generating it on first use. Generation is deterministic and traces are
+// read-only once built, so every caller of the same (source, seed) pair —
+// each experiment of a sweep, each ipexd request — receives the identical
+// *Trace instead of re-synthesizing ~50k samples.
+func Shared(src Source, seed uint64) *Trace {
+	key := sharedKey{src: src, seed: seed}
+	if v, ok := shared.Load(key); ok {
+		return v.(*Trace)
+	}
+	v, _ := shared.LoadOrStore(key, Generate(src, DefaultTraceSamples, seed))
+	return v.(*Trace)
+}
 
 // Generate synthesizes a power trace for the given source. The same
 // (source, n, seed) triple always yields the identical trace, so every

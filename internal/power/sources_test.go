@@ -128,3 +128,26 @@ func TestMeanPowerBands(t *testing.T) {
 		}
 	}
 }
+
+func TestSharedOneInstancePerSourceSeed(t *testing.T) {
+	for _, src := range Sources {
+		for _, seed := range []uint64{1, 2} {
+			a, b := Shared(src, seed), Shared(src, seed)
+			if a != b {
+				t.Fatalf("%v seed %d: Shared returned two instances", src, seed)
+			}
+			fresh := Generate(src, DefaultTraceSamples, seed)
+			if a.Name != fresh.Name || len(a.Samples) != len(fresh.Samples) {
+				t.Fatalf("%v seed %d: shared trace %q/%d, fresh %q/%d", src, seed, a.Name, len(a.Samples), fresh.Name, len(fresh.Samples))
+			}
+			for i := range a.Samples {
+				if a.Samples[i] != fresh.Samples[i] {
+					t.Fatalf("%v seed %d: sample %d = %v, fresh Generate %v", src, seed, i, a.Samples[i], fresh.Samples[i])
+				}
+			}
+		}
+	}
+	if Shared(RFHome, 1) == Shared(RFHome, 2) || Shared(RFHome, 1) == Shared(Solar, 1) {
+		t.Fatal("distinct (source, seed) pairs share one trace")
+	}
+}

@@ -17,6 +17,7 @@ import (
 
 	"ipex/internal/harness"
 	"ipex/internal/nvp"
+	"ipex/internal/trace"
 )
 
 // The /v1/batch wire format. A request body is JSONL: one /v1/run body per
@@ -354,7 +355,7 @@ func (bs *batchStream) run(ctx context.Context) {
 	defer cancel()
 	if c.hc.Timeout > 0 {
 		bs.mu.Lock()
-		bs.stall = stallTimer(c.hc.Timeout, func() {
+		bs.stall = trace.StoppedTimer(c.hc.Timeout, func() {
 			bs.mu.Lock()
 			bs.stalled = true
 			bs.mu.Unlock()
@@ -470,7 +471,7 @@ func (c *Client) awaitBatch(f *future, key, label string, req []byte) (nvp.Resul
 			<-f.done
 			break
 		}
-		t := hedgeTimer(c.hedge)
+		t := trace.NewTimer(c.hedge)
 		select {
 		case <-f.done:
 			t.Stop()

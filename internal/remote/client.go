@@ -172,7 +172,7 @@ func NewClient(o Options) (*Client, error) {
 		clock:        o.Clock,
 		logf:         o.Logf,
 		base:         base,
-		sleepFn:      realSleep,
+		sleepFn:      trace.Sleep,
 
 		attempts:     reg.Counter("remote.attempts"),
 		okAttempts:   reg.Counter("remote.ok"),
@@ -485,7 +485,7 @@ func (c *Client) attemptHedged(ctx context.Context, primary, backup *target, key
 	}()
 
 	if backup != nil && c.hedge > 0 {
-		t := hedgeTimer(c.hedge)
+		t := trace.NewTimer(c.hedge)
 		select {
 		case <-t.C:
 			c.hedges.Inc()
@@ -545,14 +545,12 @@ const (
 func (c *Client) attempt(ctx context.Context, t *target, key string, body []byte, hedge bool, ch chan<- attemptOut) {
 	c.attempts.Inc()
 	t.s.attempts.Inc()
-	start := c.now()
+	start := trace.Start(c.clock)
 	res, ra, code, kind, err := c.doOnce(ctx, t.s, key, body)
 	switch kind {
 	case outcomeOK:
 		c.okAttempts.Inc()
-		if c.clock != nil {
-			c.attemptSeconds.ObserveDuration(c.clock.Now() - start)
-		}
+		trace.Span(c.clock, c.attemptSeconds, start)
 		t.s.br.report(true, t.trial)
 	case outcomeCancel:
 		// Our own hedge-race cancellation says nothing about the server:
@@ -631,14 +629,6 @@ func (c *Client) doOnce(ctx context.Context, s *serverState, key string, body []
 			fmt.Errorf("%s: decoding verified body: %w", s.url, err)
 	}
 	return res, 0, resp.StatusCode, outcomeOK, nil
-}
-
-// now reads the injected clock (0 when none).
-func (c *Client) now() time.Duration {
-	if c.clock == nil {
-		return 0
-	}
-	return c.clock.Now()
 }
 
 // parseRetryAfter reads a whole-seconds Retry-After header (the only form

@@ -353,16 +353,6 @@ func TestBaseContextCancelDegrades(t *testing.T) {
 	checkPartition(t, s)
 }
 
-func TestRealSleepInterruptible(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	realSleep(ctx, time.Hour)
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("realSleep ignored context cancellation")
-	}
-}
-
 func TestVerifyFailures(t *testing.T) {
 	sumOf := func(body string) string {
 		sum := sha256.Sum256([]byte(body))
