@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 
 	"ipex/internal/harness"
 	"ipex/internal/nvp"
@@ -125,11 +126,13 @@ func (o Options) trace(src power.Source) *power.Trace {
 	return power.Shared(src, o.TraceSeed)
 }
 
-// job is one simulation request.
+// job is one simulation request. where, when set, names the job's
+// configuration in the error its failure aborts the experiment with.
 type job struct {
-	app string
-	cfg nvp.Config
-	tr  *power.Trace
+	app   string
+	cfg   nvp.Config
+	tr    *power.Trace
+	where string
 }
 
 // effective derives the result-affecting config of one job: the sweep-level
@@ -152,7 +155,8 @@ func (o Options) effective(cfg nvp.Config) nvp.Config {
 // failures, and panic-isolated (a panicking cell soft-fails into the
 // skipped-app path instead of taking the sweep down). Cancellation of
 // Options.Ctx drains gracefully — in-flight cells complete — and surfaces
-// as a harness.ErrInterrupted-wrapped error.
+// as a harness.ErrInterrupted-wrapped error. A cell error drains the batch
+// the same way and is returned in place of the interruption.
 func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 	store := o.Workloads
 	if store == nil {
@@ -174,6 +178,14 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 	// cell of the sweep already journaled its key, so that traces and
 	// metrics match those of an unjournaled sweep.
 	observed := o.Tracer != nil || o.Cells != nil || o.Metrics != nil
+	// A remote request is encoded once per key and shared by the key's
+	// copies, and only for a key that will reach RunRemote: a Settled key
+	// is answered from the journal or the memo. Observed cells always run,
+	// so they are always encoded.
+	var reqs map[string][]byte
+	if o.RemoteEncode != nil {
+		reqs = make(map[string][]byte)
+	}
 	cells := make([]harness.Cell, len(jobs))
 	for i := range jobs {
 		j := jobs[i]
@@ -188,24 +200,46 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 			Run:      o.cellRun(store, j, cfg, path),
 			Observed: observed,
 		}
-		if o.RemoteEncode != nil && cells[i].Key != "" {
-			cells[i].RemoteReq = o.RemoteEncode(j.app, o.Scale, j.tr, o.TraceSeed, cfg, cells[i].Key)
+		if key := cells[i].Key; reqs != nil && key != "" && (observed || !o.Sup.Settled(key)) {
+			req, ok := reqs[key]
+			if !ok {
+				req = o.RemoteEncode(j.app, o.Scale, j.tr, o.TraceSeed, cfg, key)
+				reqs[key] = req
+			}
+			cells[i].RemoteReq = req
 		}
 	}
+	// The first failed cell aborts the experiment, so it stops dispatch of
+	// the rest of the batch: an unrecoverable error costs a few cells, not
+	// every configuration of the experiment.
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, abort := context.WithCancel(ctx)
+	defer abort()
+	var failed atomic.Bool
 	pool := &harness.Pool{
 		Workers: o.Parallelism,
-		Ctx:     o.Ctx,
+		Ctx:     ctx,
 		Sup:     o.Sup,
-		OnDone: func(_ int, res nvp.Result, _ error, _ bool) {
+		OnDone: func(_ int, res nvp.Result, err error, _ bool) {
 			o.Progress.jobDone(res.Insts)
+			if err != nil {
+				failed.Store(true)
+				abort()
+			}
 		},
 	}
 	results, errs, interrupted := pool.Run(cells)
-	if interrupted != nil {
+	if interrupted != nil && !failed.Load() {
 		return nil, interrupted
 	}
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
+			if w := jobs[i].where; w != "" {
+				return nil, fmt.Errorf("%s: %w", w, err)
+			}
 			return nil, err
 		}
 	}
@@ -279,14 +313,39 @@ func (o Options) cellRun(store *workload.Store, j job, cfg nvp.Config, cellPath 
 	}
 }
 
-// runPerApp runs one configuration for every app and returns results in app
-// order.
-func runPerApp(o Options, cfg nvp.Config, tr *power.Trace) ([]nvp.Result, error) {
-	jobs := make([]job, len(o.Apps))
-	for i, app := range o.Apps {
-		jobs[i] = job{app: app, cfg: cfg, tr: tr}
+// point is one configuration of an experiment, run over every app. label,
+// when set, names it in the error a failed cell aborts the experiment with.
+type point struct {
+	label string
+	cfg   nvp.Config
+	tr    *power.Trace
+}
+
+// runConfigs runs every point over every app as one pool batch — one remote
+// prefetch and one end-of-batch barrier per experiment — and returns one
+// app-ordered result slice per point. A labelled point's cell error reads
+// "title [label]: ...".
+func runConfigs(o Options, title string, pts []point) ([][]nvp.Result, error) {
+	jobs := make([]job, 0, len(pts)*len(o.Apps))
+	for _, pt := range pts {
+		var where string
+		if pt.label != "" {
+			where = fmt.Sprintf("%s [%s]", title, pt.label)
+		}
+		for _, app := range o.Apps {
+			jobs = append(jobs, job{app: app, cfg: pt.cfg, tr: pt.tr, where: where})
+		}
 	}
-	return runAll(o, jobs)
+	rs, err := runAll(o, jobs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(o.Apps)
+	sets := make([][]nvp.Result, len(pts))
+	for i := range pts {
+		sets[i] = rs[i*n : (i+1)*n : (i+1)*n]
+	}
+	return sets, nil
 }
 
 // speedups returns base[i].Cycles / variant[i].Cycles per app.

@@ -26,25 +26,20 @@ func runHeadline(o Options, src power.Source) (*headlineRuns, error) {
 	o = o.norm()
 	tr := o.trace(src)
 	cfg := nvp.DefaultConfig()
-	h := &headlineRuns{apps: o.Apps}
-	var err error
-	if h.noPf, err = runPerApp(o, cfg.WithoutPrefetch(), tr); err != nil {
-		return nil, err
-	}
-	if h.base, err = runPerApp(o, cfg, tr); err != nil {
-		return nil, err
-	}
-	if h.ipexData, err = runPerApp(o, cfg.WithIPEXData(), tr); err != nil {
-		return nil, err
-	}
-	if h.ipexBoth, err = runPerApp(o, cfg.WithIPEX(), tr); err != nil {
-		return nil, err
-	}
-	apps, sets, skipped, err := filterComplete(h.apps, h.noPf, h.base, h.ipexData, h.ipexBoth)
+	rs, err := runConfigs(o, "", []point{
+		{cfg: cfg.WithoutPrefetch(), tr: tr},
+		{cfg: cfg, tr: tr},
+		{cfg: cfg.WithIPEXData(), tr: tr},
+		{cfg: cfg.WithIPEX(), tr: tr},
+	})
 	if err != nil {
 		return nil, err
 	}
-	h.apps, h.skipped = apps, skipped
+	apps, sets, skipped, err := filterComplete(o.Apps, rs...)
+	if err != nil {
+		return nil, err
+	}
+	h := &headlineRuns{apps: apps, skipped: skipped}
 	h.noPf, h.base, h.ipexData, h.ipexBoth = sets[0], sets[1], sets[2], sets[3]
 	return h, nil
 }
@@ -126,27 +121,20 @@ func Fig11(o Options) (*Fig11Result, error) {
 	ideal := nvp.DefaultConfig()
 	ideal.Ideal = true
 
-	noPf, err := runPerApp(o, ideal.WithoutPrefetch(), tr)
+	rs, err := runConfigs(o, "", []point{
+		{cfg: ideal.WithoutPrefetch(), tr: tr},
+		{cfg: ideal, tr: tr},
+		{cfg: ideal.WithIPEXData(), tr: tr},
+		{cfg: ideal.WithIPEX(), tr: tr},
+	})
 	if err != nil {
 		return nil, err
 	}
-	base, err := runPerApp(o, ideal, tr)
+	apps, sets, skipped, err := filterComplete(o.Apps, rs...)
 	if err != nil {
 		return nil, err
 	}
-	ipexD, err := runPerApp(o, ideal.WithIPEXData(), tr)
-	if err != nil {
-		return nil, err
-	}
-	ipexB, err := runPerApp(o, ideal.WithIPEX(), tr)
-	if err != nil {
-		return nil, err
-	}
-	apps, sets, skipped, err := filterComplete(o.Apps, noPf, base, ipexD, ipexB)
-	if err != nil {
-		return nil, err
-	}
-	noPf, base, ipexD, ipexB = sets[0], sets[1], sets[2], sets[3]
+	noPf, base, ipexD, ipexB := sets[0], sets[1], sets[2], sets[3]
 	res := &Fig11Result{Skipped: skipped}
 	sNo, sD, sB := speedups(base, noPf), speedups(base, ipexD), speedups(base, ipexB)
 	for i, app := range apps {

@@ -35,16 +35,16 @@ func Fig01(o Options) (*Fig01Result, error) {
 	o = o.norm()
 	tr := o.trace(power.RFHome)
 
-	sets := make([][]nvp.Result, 0, len(Fig01CacheSizes))
-	for _, size := range Fig01CacheSizes {
+	pts := make([]point, len(Fig01CacheSizes))
+	for i, size := range Fig01CacheSizes {
 		cfg := nvp.DefaultConfig().WithoutPrefetch()
 		cfg.ICacheSize = size
 		cfg.DCacheSize = size
-		rs, err := runPerApp(o, cfg, tr)
-		if err != nil {
-			return nil, err
-		}
-		sets = append(sets, rs)
+		pts[i] = point{cfg: cfg, tr: tr}
+	}
+	sets, err := runConfigs(o, "", pts)
+	if err != nil {
+		return nil, err
 	}
 	// Filter jointly across every size so the speedup series compares the
 	// same app set at each point.
@@ -114,15 +114,15 @@ type Fig02Result struct {
 // caches, prefetchers off).
 func Fig02(o Options) (*Fig02Result, error) {
 	o = o.norm()
-	rs, err := runPerApp(o, nvp.DefaultConfig().WithoutPrefetch(), o.trace(power.RFHome))
+	sets, err := runConfigs(o, "", []point{{cfg: nvp.DefaultConfig().WithoutPrefetch(), tr: o.trace(power.RFHome)}})
 	if err != nil {
 		return nil, err
 	}
-	apps, sets, skipped, err := filterComplete(o.Apps, rs)
+	apps, sets, skipped, err := filterComplete(o.Apps, sets...)
 	if err != nil {
 		return nil, err
 	}
-	rs = sets[0]
+	rs := sets[0]
 	res := &Fig02Result{Skipped: skipped}
 	var is, ds []float64
 	for i, r := range rs {

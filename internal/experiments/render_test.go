@@ -131,10 +131,11 @@ func TestTruncatedRunIsSkippedNotFatal(t *testing.T) {
 	// An absurdly small cycle budget forces an incomplete run.
 	cfg := nvp.DefaultConfig()
 	cfg.MaxCycles = 1000
-	rs, err := runPerApp(o, cfg, o.trace(power.RFHome))
+	sets, err := runConfigs(o, "", []point{{cfg: cfg, tr: o.trace(power.RFHome)}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := sets[0]
 	if rs[0].Completed {
 		t.Fatal("1000-cycle budget completed a run; test premise broken")
 	}

@@ -87,22 +87,24 @@ func RobustSensor(o Options) (*RobustResult, error) {
 
 	base := nvp.DefaultConfig()
 	base.Paranoid = true
-	baseRs, err := runPerApp(o, base, tr)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &RobustResult{Title: "Robustness: IPEX speedup vs. voltage-sensor degradation, RFHome"}
+	pts := []point{{cfg: base, tr: tr}}
 	for _, lv := range robustSensorLevels {
 		cfg := nvp.DefaultConfig().WithIPEX()
 		cfg.Paranoid = true
 		if lv.cfg.Active() {
 			cfg.Faults = &fault.Config{Seed: o.TraceSeed, Sensor: lv.cfg}
 		}
-		rs, err := runPerApp(o, cfg, tr)
-		if err != nil {
-			return nil, fmt.Errorf("robust-sensor [%s]: %w", lv.label, err)
-		}
+		pts = append(pts, point{label: lv.label, cfg: cfg, tr: tr})
+	}
+	all, err := runConfigs(o, "robust-sensor", pts)
+	if err != nil {
+		return nil, err
+	}
+	baseRs := all[0]
+
+	res := &RobustResult{Title: "Robustness: IPEX speedup vs. voltage-sensor degradation, RFHome"}
+	for n, lv := range robustSensorLevels {
+		rs := all[n+1]
 		_, sets, skipped, err := filterComplete(o.Apps, baseRs, rs)
 		if err != nil {
 			return nil, fmt.Errorf("robust-sensor [%s]: %w", lv.label, err)
@@ -136,9 +138,10 @@ func RobustCkpt(o Options) (*RobustResult, error) {
 	o = o.norm()
 	tr := o.trace(power.RFHome)
 
-	res := &RobustResult{Title: "Robustness: IPEX speedup vs. checkpoint write-failure rate, RFHome"}
-	for _, p := range robustCkptProbs {
-		label := fmt.Sprintf("fail=%g%%", p*100)
+	labels := make([]string, len(robustCkptProbs))
+	pts := make([]point, 0, 2*len(robustCkptProbs))
+	for i, p := range robustCkptProbs {
+		labels[i] = fmt.Sprintf("fail=%g%%", p*100)
 		var fc *fault.Config
 		if p > 0 {
 			fc = &fault.Config{Seed: o.TraceSeed, Checkpoint: fault.CheckpointConfig{WriteFailProb: p}}
@@ -149,15 +152,16 @@ func RobustCkpt(o Options) (*RobustResult, error) {
 		ipex := nvp.DefaultConfig().WithIPEX()
 		ipex.Paranoid = true
 		ipex.Faults = fc
+		pts = append(pts, point{label: labels[i], cfg: base, tr: tr}, point{label: labels[i], cfg: ipex, tr: tr})
+	}
+	all, err := runConfigs(o, "robust-ckpt", pts)
+	if err != nil {
+		return nil, err
+	}
 
-		baseRs, err := runPerApp(o, base, tr)
-		if err != nil {
-			return nil, fmt.Errorf("robust-ckpt [%s]: %w", label, err)
-		}
-		ipexRs, err := runPerApp(o, ipex, tr)
-		if err != nil {
-			return nil, fmt.Errorf("robust-ckpt [%s]: %w", label, err)
-		}
+	res := &RobustResult{Title: "Robustness: IPEX speedup vs. checkpoint write-failure rate, RFHome"}
+	for i, label := range labels {
+		baseRs, ipexRs := all[2*i], all[2*i+1]
 		_, sets, skipped, err := filterComplete(o.Apps, baseRs, ipexRs)
 		if err != nil {
 			return nil, fmt.Errorf("robust-ckpt [%s]: %w", label, err)

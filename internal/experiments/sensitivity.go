@@ -37,44 +37,46 @@ func (r *SweepResult) String() string {
 	return r.Title + "\n" + t.String() + skippedNote(r.Skipped)
 }
 
-// ipexGain runs the baseline and IPEX-both variants of one configuration
-// over all apps and returns the gmean speedup of IPEX over the baseline,
-// plus the apps dropped for exhausting the cycle budget.
-func ipexGain(o Options, tr *power.Trace, mut func(*nvp.Config)) (float64, []string, error) {
-	base := nvp.DefaultConfig()
-	if mut != nil {
-		mut(&base)
+// ipexGain runs every baseline point and its IPEX-both partner over all
+// apps in one batch and returns the series of gmean speedups of IPEX over
+// the baseline, plus the apps dropped for exhausting the cycle budget.
+func ipexGain(o Options, title string, bases []point) (*SweepResult, error) {
+	pts := make([]point, 0, 2*len(bases))
+	for _, b := range bases {
+		ipex := b
+		ipex.cfg = b.cfg.WithIPEX()
+		pts = append(pts, b, ipex)
 	}
-	ipex := base.WithIPEX()
-	baseRs, err := runPerApp(o, base, tr)
+	rs, err := runConfigs(o, title, pts)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	ipexRs, err := runPerApp(o, ipex, tr)
-	if err != nil {
-		return 0, nil, err
+	res := &SweepResult{Title: title}
+	for i, b := range bases {
+		_, sets, skipped, err := filterComplete(o.Apps, rs[2*i], rs[2*i+1])
+		if err != nil {
+			return nil, fmt.Errorf("%s [%s]: %w", title, b.label, err)
+		}
+		res.Skipped = mergeSkipped(res.Skipped, skipped)
+		res.Points = append(res.Points, SweepPoint{Label: b.label, Speedup: stats.Geomean(speedups(sets[0], sets[1]))})
 	}
-	_, sets, skipped, err := filterComplete(o.Apps, baseRs, ipexRs)
-	if err != nil {
-		return 0, skipped, err
-	}
-	return stats.Geomean(speedups(sets[0], sets[1])), skipped, nil
+	return res, nil
 }
 
-// sweep evaluates ipexGain for a list of labelled mutations.
+// sweep evaluates ipexGain for a list of labelled mutations of the default
+// configuration on one trace.
 func sweep(o Options, title string, src power.Source, labels []string, muts []func(*nvp.Config)) (*SweepResult, error) {
 	o = o.norm()
 	tr := o.trace(src)
-	res := &SweepResult{Title: title}
+	bases := make([]point, len(labels))
 	for i, label := range labels {
-		g, skipped, err := ipexGain(o, tr, muts[i])
-		if err != nil {
-			return nil, fmt.Errorf("%s [%s]: %w", title, label, err)
+		cfg := nvp.DefaultConfig()
+		if muts[i] != nil {
+			muts[i](&cfg)
 		}
-		res.Skipped = mergeSkipped(res.Skipped, skipped)
-		res.Points = append(res.Points, SweepPoint{Label: label, Speedup: g})
+		bases[i] = point{label: label, cfg: cfg, tr: tr}
 	}
-	return res, nil
+	return ipexGain(o, title, bases)
 }
 
 // Table3 reproduces Table 3: IPEX's gain with each instruction prefetcher
@@ -194,16 +196,11 @@ func Fig22(o Options) (*SweepResult, error) {
 // Fig23 reproduces Figure 23: the power-trace sweep.
 func Fig23(o Options) (*SweepResult, error) {
 	o = o.norm()
-	res := &SweepResult{Title: "Figure 23: IPEX speedup vs. power trace"}
-	for _, src := range power.Sources {
-		g, skipped, err := ipexGain(o, o.trace(src), nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Skipped = mergeSkipped(res.Skipped, skipped)
-		res.Points = append(res.Points, SweepPoint{Label: src.String(), Speedup: g})
+	bases := make([]point, len(power.Sources))
+	for i, src := range power.Sources {
+		bases[i] = point{label: src.String(), cfg: nvp.DefaultConfig(), tr: o.trace(src)}
 	}
-	return res, nil
+	return ipexGain(o, "Figure 23: IPEX speedup vs. power trace", bases)
 }
 
 // Fig24 reproduces Figure 24: the threshold-adaptation step-size sweep.
@@ -302,15 +299,11 @@ func AblationDupSuppress(o Options) (*SweepResult, error) {
 	without := with
 	without.DupSuppress = false
 
-	withRs, err := runPerApp(o, with, tr)
+	rs, err := runConfigs(o, "", []point{{cfg: with, tr: tr}, {cfg: without, tr: tr}})
 	if err != nil {
 		return nil, err
 	}
-	withoutRs, err := runPerApp(o, without, tr)
-	if err != nil {
-		return nil, err
-	}
-	_, sets, skipped, err := filterComplete(o.Apps, withRs, withoutRs)
+	_, sets, skipped, err := filterComplete(o.Apps, rs...)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"ipex/internal/nvp"
@@ -66,12 +67,15 @@ type Entry struct {
 // with a single O_APPEND write, so a crash can at worst truncate the final
 // line — which resume detects and skips (the cell is simply re-run).
 //
-// Every line is durable before Append returns. Concurrent appenders share
-// an fsync (group commit): lines are written under the mutex and synced
-// outside it, and each Append waits for an fsync that started after its
-// write. A KindCell line whose key an earlier cell line already carries
-// waits only for that line to be durable and costs no fsync of its own —
-// resume replays the key from the earlier line.
+// Every line is durable before Append returns. Lines are written under the
+// mutex and synced outside it. An Append waits for an in-flight fsync only
+// if that fsync started after its line was written; otherwise it starts its
+// own at once, so a line never waits behind an fsync that cannot cover it.
+// At most maxSyncs fsyncs run together; an appender that finds them all
+// busy waits for one to finish, then starts one fsync covering every line
+// written meanwhile (group commit). A KindCell line whose key an earlier
+// cell line already carries waits only for that line to be durable and
+// costs no fsync of its own — resume replays the key from the earlier line.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -83,8 +87,13 @@ type Journal struct {
 	// synced is signalled (on mu) whenever an fsync finishes.
 	synced  sync.Cond
 	written uint64 // lines written so far
-	durable uint64 // lines covered by a finished fsync
-	syncing bool   // an fsync is in flight
+	// durable is the most lines any finished fsync covered. Overlapping
+	// fsyncs may finish out of order, and each covers every line written
+	// before it started, so the maximum is what is on disk.
+	durable uint64
+	// running holds, per in-flight fsync, the lines written when it
+	// started: the lines it will make durable.
+	running []uint64
 	// cells maps each KindCell key to the number of its first line, so a
 	// repeat need only wait for that line to be durable. A KindFail line
 	// drops the key: on resume it would shadow the earlier cell line.
@@ -236,24 +245,35 @@ func (j *Journal) Append(e Entry) error {
 	return j.waitDurable(need)
 }
 
+// maxSyncs bounds the fsyncs in flight at once. Two let an appender whose
+// line landed after the running fsync began start its own without waiting;
+// beyond that, appenders batch into the next fsync. Without the bound every
+// distinct line gets its own fsync: on a 2-vCPU ext4 VM, a journaled
+// `experiments -all -scale 0.1 -parallelism 8` sweep (20 alternated runs)
+// spent a median 4.9 s summed in Append and ran 2261 fsyncs unbounded,
+// against 2.7 s and 2170 with the bound; wall time did not differ.
+const maxSyncs = 2
+
 // waitDurable returns once line n is covered by a finished fsync. The
-// caller holds j.mu. If no fsync is in flight the caller runs one for every
+// caller holds j.mu. It waits while an in-flight fsync will cover line n or
+// while maxSyncs are already running; otherwise it runs one fsync for every
 // line written so far, with the mutex released so that other appenders can
-// write meanwhile; otherwise it waits for the running one and re-checks.
+// write meanwhile. A failed fsync wakes its waiters, which try again.
 func (j *Journal) waitDurable(n uint64) error {
 	for j.durable < n {
-		if j.syncing {
+		if j.covered(n) || len(j.running) >= maxSyncs {
 			j.synced.Wait()
 			continue
 		}
-		j.syncing = true
 		upTo := j.written
+		j.running = append(j.running, upTo)
 		j.mu.Unlock()
 		err := j.sync()
 		j.mu.Lock()
-		j.syncing = false
+		i := slices.Index(j.running, upTo)
+		j.running = slices.Delete(j.running, i, i+1)
 		if err == nil {
-			j.durable = upTo
+			j.durable = max(j.durable, upTo)
 		}
 		j.synced.Broadcast()
 		if err != nil {
@@ -261,6 +281,17 @@ func (j *Journal) waitDurable(n uint64) error {
 		}
 	}
 	return nil
+}
+
+// covered reports whether an in-flight fsync started after line n was
+// written. The caller holds j.mu.
+func (j *Journal) covered(n uint64) bool {
+	for _, upTo := range j.running {
+		if upTo >= n {
+			return true
+		}
+	}
+	return false
 }
 
 // Path returns the journal's file path ("" for a nil journal).
@@ -278,7 +309,7 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for j.syncing {
+	for len(j.running) > 0 {
 		j.synced.Wait()
 	}
 	return j.f.Close()

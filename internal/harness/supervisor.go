@@ -256,12 +256,25 @@ func (s *Supervisor) admit() bool {
 	return s.admitted.Add(1) <= s.StopAfter
 }
 
+// Settled reports whether a non-observed cell with this key would be
+// answered without running: by a replayable entry of a resumed journal, or
+// by a finished memo entry of this journaled sweep. Such a cell never
+// reaches RunRemote, so it needs no remote request. Nil-safe.
+func (s *Supervisor) Settled(key string) bool {
+	if s == nil || key == "" {
+		return false
+	}
+	if e := s.Replay[key]; e != nil && e.Kind == KindCell && e.Result != nil {
+		return true
+	}
+	return s.Journal != nil && s.memo.finished(key)
+}
+
 // prefetch offers a batch's remote-bound cells to a RemotePrefetcher and
 // returns its release (nil when there is nothing to prefetch). It passes
 // only the cells RunCell would really send remote — keyed, carrying a
-// request, not observed, not answered by Replay or by a finished memo
-// entry — each key once. It never calls Skip: RunCell consults Skip first,
-// once per cell, as a cell-start probe.
+// request, not observed, not Settled — each key once. It never calls Skip:
+// RunCell consults Skip first, once per cell, as a cell-start probe.
 func (s *Supervisor) prefetch(cells []Cell) func() {
 	if s == nil {
 		return nil
@@ -273,13 +286,7 @@ func (s *Supervisor) prefetch(cells []Cell) func() {
 	var batch []RemoteCell
 	seen := make(map[string]bool)
 	for _, c := range cells {
-		if c.Key == "" || len(c.RemoteReq) == 0 || c.Observed || seen[c.Key] {
-			continue
-		}
-		if e := s.Replay[c.Key]; e != nil && e.Kind == KindCell && e.Result != nil {
-			continue
-		}
-		if s.Journal != nil && s.memo.finished(c.Key) {
+		if c.Key == "" || len(c.RemoteReq) == 0 || c.Observed || seen[c.Key] || s.Settled(c.Key) {
 			continue
 		}
 		seen[c.Key] = true

@@ -28,26 +28,32 @@ var InstructionKinds = []Kind{KindSequential, KindMarkov, KindTIFS}
 // default first.
 var DataKinds = []Kind{KindStride, KindGHB, KindBO}
 
+// kinds is the one table of constructible prefetchers, with paper-scale
+// embedded table sizes: New builds from it, Check only looks a name up.
+var kinds = map[Kind]func() Prefetcher{
+	KindSequential: func() Prefetcher { return NewSequential() },
+	KindStride:     func() Prefetcher { return NewStride(512) },
+	KindMarkov:     func() Prefetcher { return NewMarkov(256) },
+	KindTIFS:       func() Prefetcher { return NewTIFS(1024) },
+	KindGHB:        func() Prefetcher { return NewGHB(512) },
+	KindBO:         func() Prefetcher { return NewBO(64) },
+	KindAMPM:       func() Prefetcher { return NewAMPM(32) },
+}
+
+// Check reports whether New accepts kind, without building the prefetcher
+// and its tables.
+func Check(kind Kind) error {
+	if _, ok := kinds[kind]; !ok && kind != KindNone && kind != "" {
+		return fmt.Errorf("prefetch: unknown kind %q", kind)
+	}
+	return nil
+}
+
 // New instantiates a prefetcher of the given kind with paper-scale embedded
 // table sizes. It returns (nil, nil) for KindNone.
 func New(kind Kind) (Prefetcher, error) {
-	switch kind {
-	case KindNone, "":
-		return nil, nil
-	case KindSequential:
-		return NewSequential(), nil
-	case KindStride:
-		return NewStride(512), nil
-	case KindMarkov:
-		return NewMarkov(256), nil
-	case KindTIFS:
-		return NewTIFS(1024), nil
-	case KindGHB:
-		return NewGHB(512), nil
-	case KindBO:
-		return NewBO(64), nil
-	case KindAMPM:
-		return NewAMPM(32), nil
+	if mk := kinds[kind]; mk != nil {
+		return mk(), nil
 	}
-	return nil, fmt.Errorf("prefetch: unknown kind %q", kind)
+	return nil, Check(kind)
 }

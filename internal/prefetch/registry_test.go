@@ -112,3 +112,15 @@ func TestPrefetchersDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckMatchesNewWithoutAllocating(t *testing.T) {
+	for _, kind := range []Kind{KindNone, "", KindSequential, KindStride, KindMarkov, KindTIFS, KindGHB, KindBO, KindAMPM, "warpdrive"} {
+		_, newErr := New(kind)
+		if err := Check(kind); (err == nil) != (newErr == nil) {
+			t.Errorf("Check(%q) = %v, New's error = %v", kind, err, newErr)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Check(KindTIFS) }); n != 0 {
+		t.Errorf("Check of a known kind made %v allocations, want 0", n)
+	}
+}

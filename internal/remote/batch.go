@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -217,7 +216,7 @@ func (c *Client) PrefetchRemote(cells []harness.RemoteCell) (release func()) {
 	}
 	ctx, cancel := context.WithCancel(c.base)
 	var wg sync.WaitGroup
-	var mine []*future
+	var mine []*batchStream
 	c.mu.Lock()
 	for _, s := range c.servers {
 		group := groups[s]
@@ -230,7 +229,7 @@ func (c *Client) PrefetchRemote(cells []harness.RemoteCell) (release func()) {
 				bs.fs[i] = &future{done: make(chan struct{}), bs: bs, i: i}
 				c.pending[cell.Key] = bs.fs[i]
 			}
-			mine = append(mine, bs.fs...)
+			mine = append(mine, bs)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -243,12 +242,12 @@ func (c *Client) PrefetchRemote(cells []harness.RemoteCell) (release func()) {
 		cancel()
 		wg.Wait()
 		c.mu.Lock()
-		for _, f := range mine {
-			c.settle(f)
-		}
-		for _, cell := range cells {
-			if f := c.pending[cell.Key]; f != nil && slices.Contains(mine, f) {
-				delete(c.pending, cell.Key)
+		for _, bs := range mine {
+			for i, f := range bs.fs {
+				c.settle(f)
+				if c.pending[bs.cells[i].Key] == f {
+					delete(c.pending, bs.cells[i].Key)
+				}
 			}
 		}
 		c.mu.Unlock()

@@ -290,13 +290,13 @@ func (rq RunRequest) Build(lim Limits) (Spec, error) {
 	cfg := nvp.DefaultConfig()
 	if c := rq.Config; c != nil {
 		if c.IPrefetcher != "" {
-			if _, err := prefetch.New(prefetch.Kind(c.IPrefetcher)); err != nil {
+			if err := prefetch.Check(prefetch.Kind(c.IPrefetcher)); err != nil {
 				return sp, err
 			}
 			cfg.IPrefetcher = prefetch.Kind(c.IPrefetcher)
 		}
 		if c.DPrefetcher != "" {
-			if _, err := prefetch.New(prefetch.Kind(c.DPrefetcher)); err != nil {
+			if err := prefetch.Check(prefetch.Kind(c.DPrefetcher)); err != nil {
 				return sp, err
 			}
 			cfg.DPrefetcher = prefetch.Kind(c.DPrefetcher)
