@@ -256,7 +256,9 @@ lint: vet
 # sweep output must stay byte-identical to the purely local golden, with
 # zero failed cells, and the remote summary must show the resilience
 # machinery actually fired (hedges under blackholes, remote cells despite
-# the kill, cells answered from /v1/batch frames). A local -resume of the
+# the kill, cells answered from /v1/batch frames). A -metrics sweep against
+# the surviving server must print the same bytes and still batch: observers
+# turn off the journal's memo, not batching. A local -resume of the
 # chaos sweep's journal must then re-execute
 # zero cells and print the same bytes. A last pass against a dead fleet must
 # degrade every cell to local execution — same bytes again.
@@ -311,6 +313,13 @@ remote-smoke:
 		|| { echo "remote-smoke: blackholes never triggered a hedge:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
 	grep -Eq ' batched=[1-9]' $$tmp/sweep.log \
 		|| { echo "remote-smoke: no cell was answered from a /v1/batch frame:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
+	$$tmp/experiments $$args -servers "http://$$a2" -metrics $$tmp/m.json \
+		-journal $$tmp/observed.jsonl >$$tmp/observed.json 2>$$tmp/observed.log \
+		|| { echo "remote-smoke: observed sweep failed"; cat $$tmp/observed.log; exit 1; }; \
+	diff -u $$tmp/golden.json $$tmp/observed.json \
+		|| { echo "remote-smoke: observed sweep output differs from local golden"; exit 1; }; \
+	grep -Eq ' batched=[1-9]' $$tmp/observed.log \
+		|| { echo "remote-smoke: an observed sweep batched no cell:"; grep '^remote:' $$tmp/observed.log; exit 1; }; \
 	$$tmp/experiments $$args -journal $$tmp/sweep.jsonl -resume \
 		>$$tmp/resumed.json 2>$$tmp/resume.log || { cat $$tmp/resume.log; exit 1; }; \
 	diff -u $$tmp/golden.json $$tmp/resumed.json \
@@ -324,7 +333,7 @@ remote-smoke:
 		|| { echo "remote-smoke: dead-fleet sweep output differs from local golden"; exit 1; }; \
 	grep -Eq '^remote: cells=0 (fallback=[1-9]|fallback=0 unroutable=[1-9])' $$tmp/down.log \
 		|| { echo "remote-smoke: dead fleet did not degrade to local:"; grep '^remote:' $$tmp/down.log; exit 1; }; \
-	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local, batched cells included; its resume executed 0 cells; dead fleet degraded cleanly"
+	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local, batched cells included, observed too; its resume executed 0 cells; dead fleet degraded cleanly"
 
 ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke fuzz bench-smoke
 	$(GO) test -run=NONE -bench=BenchmarkFig10 -benchtime=1x ./...

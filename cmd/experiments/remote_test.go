@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ipex/internal/experiments"
+	"ipex/internal/harness"
 	"ipex/internal/nvp"
 	"ipex/internal/power"
 	"ipex/internal/remote"
@@ -15,6 +16,9 @@ import (
 // tiny scale and requires remote.EncodeCell to put each keyed cell on the
 // wire, so a -servers sweep leaves no cell simulating on the client.
 func TestEveryRegisteredCellIsRemotable(t *testing.T) {
+	// Cells are encoded only for a supervisor with a runner; this one
+	// declines every cell, so each runs locally.
+	sup := &harness.Supervisor{Remote: decliner{}}
 	ids := make([]string, 0, len(registry))
 	for id := range registry {
 		ids = append(ids, id)
@@ -30,6 +34,7 @@ func TestEveryRegisteredCellIsRemotable(t *testing.T) {
 		o := experiments.Options{
 			Scale: 0.01,
 			Apps:  []string{"fft", "gsme"},
+			Sup:   sup,
 			RemoteEncode: func(app string, scale float64, tr *power.Trace, seed uint64, cfg nvp.Config, key string) []byte {
 				body := remote.EncodeCell(app, scale, tr, seed, cfg, key)
 				mu.Lock()
@@ -53,4 +58,11 @@ func TestEveryRegisteredCellIsRemotable(t *testing.T) {
 		t.Fatal("no cell reached the encoder; the test proved nothing")
 	}
 	t.Logf("%d keyed cells across %d experiments, all remotable", encoded, len(ids))
+}
+
+// decliner is a RemoteRunner that declines every cell.
+type decliner struct{}
+
+func (decliner) RunRemote(string, string, []byte) (nvp.Result, bool, error) {
+	return nvp.Result{}, false, nil
 }

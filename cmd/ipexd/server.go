@@ -83,13 +83,13 @@ type server struct {
 	lim       remote.Limits
 	workers   int
 
-	queue    chan task
-	qmu      sync.RWMutex
-	qclosed  bool
-	wg       sync.WaitGroup
-	draining atomic.Bool
-	// drained is cancelled when the drain begins; /v1/batch streams end
-	// instead of waiting for their clients' next lines.
+	queue   chan task
+	qmu     sync.RWMutex
+	qclosed bool
+	wg      sync.WaitGroup
+	// drained is cancelled when the drain begins: /healthz turns 503 and
+	// /v1/batch streams end instead of waiting for their clients' next
+	// lines.
 	drained  context.Context
 	drainNow context.CancelFunc
 
@@ -168,7 +168,6 @@ func (s *server) enqueue(t task) error {
 // half-open breaker, so a draining server announces its exit instead of
 // absorbing (and 503-failing) a last wave of requests.
 func (s *server) beginDrain() {
-	s.draining.Store(true)
 	s.drainNow()
 }
 
@@ -176,7 +175,6 @@ func (s *server) beginDrain() {
 // workers exit. Call after the HTTP server has shut down (so no handler is
 // mid-enqueue).
 func (s *server) close() {
-	s.draining.Store(true)
 	s.drainNow()
 	s.qmu.Lock()
 	if !s.qclosed {
@@ -200,7 +198,7 @@ func (s *server) mux() *http.ServeMux {
 		// by fleet clients deciding whether to route new work here, and a
 		// server about to close its listener is not a routable destination
 		// even though this handler can still answer.
-		if s.draining.Load() {
+		if s.drained.Err() != nil {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}

@@ -10,6 +10,7 @@ import (
 	"ipex/internal/harness"
 	"ipex/internal/nvp"
 	"ipex/internal/power"
+	"ipex/internal/trace"
 )
 
 // fakeFleet is a RemoteRunner and RemotePrefetcher that declines every
@@ -87,6 +88,78 @@ func TestExperimentBatchShape(t *testing.T) {
 		t.Fatalf("Fig12 encoded %d new keys, want none: Fig10 settled them all", len(encodes)-before)
 	}
 }
+
+// Observed cells are batched too: with a metrics registry attached, every
+// cell of the sweep is observed, and Fig22 still makes one prefetch that
+// offers each of its distinct keys, each encoded once.
+func TestExperimentBatchShapeObserved(t *testing.T) {
+	fleet := &fakeFleet{}
+	var encodes sync.Map
+	o := Options{
+		Scale:       0.02,
+		Apps:        []string{"fft", "qsort"},
+		Parallelism: 2,
+		Sup:         &harness.Supervisor{Journal: memSink{}, Remote: fleet},
+		Metrics:     trace.NewRegistry(),
+		RemoteEncode: func(app string, _ float64, _ *power.Trace, _ uint64, _ nvp.Config, key string) []byte {
+			if _, dup := encodes.LoadOrStore(key, true); dup {
+				t.Errorf("key %s encoded twice", key)
+			}
+			return []byte(app)
+		},
+	}
+	if _, err := Fig22(o); err != nil {
+		t.Fatal(err)
+	}
+	if len(fleet.batches) != 1 {
+		t.Fatalf("Fig22 made %d PrefetchRemote calls, want 1", len(fleet.batches))
+	}
+	keys := 0
+	encodes.Range(func(any, any) bool { keys++; return true })
+	if got := len(fleet.batches[0]); got != keys || keys == 0 {
+		t.Fatalf("Fig22 prefetched %d cells, want its %d distinct keys", got, keys)
+	}
+}
+
+// A resumed sweep encodes and prefetches nothing for the keys its journal
+// answers.
+func TestExperimentResumedKeysNotSent(t *testing.T) {
+	var mu sync.Mutex
+	replay := make(map[string]*harness.Entry)
+	first := &harness.Supervisor{Journal: sinkFunc(func(e harness.Entry) error {
+		mu.Lock()
+		replay[e.Key] = &e
+		mu.Unlock()
+		return nil
+	})}
+	o := Options{Scale: 0.02, Apps: []string{"fft", "qsort"}, Parallelism: 2, Sup: first}
+	if _, err := Fig10(o); err != nil {
+		t.Fatal(err)
+	}
+	fleet := &fakeFleet{}
+	encodes := 0
+	o.Sup = &harness.Supervisor{Journal: memSink{}, Replay: replay, Remote: fleet}
+	o.RemoteEncode = func(app string, _ float64, _ *power.Trace, _ uint64, _ nvp.Config, _ string) []byte {
+		mu.Lock()
+		encodes++
+		mu.Unlock()
+		return []byte(app)
+	}
+	if _, err := Fig10(o); err != nil {
+		t.Fatal(err)
+	}
+	if encodes != 0 || len(fleet.batches) != 0 {
+		t.Fatalf("resumed Fig10: %d encodes, %d prefetches; want none", encodes, len(fleet.batches))
+	}
+	if cs := o.Sup.Counters.Snapshot(); cs.Replayed != uint64(4*len(o.Apps)) || cs.Executed != 0 {
+		t.Fatalf("resumed Fig10 counters = %+v, want every cell replayed", cs)
+	}
+}
+
+// sinkFunc adapts a function to a journal sink.
+type sinkFunc func(harness.Entry) error
+
+func (f sinkFunc) Append(e harness.Entry) error { return f(e) }
 
 // refusingFleet answers every cell with an error, as a fleet does for a
 // refused cell under -no-local-fallback.

@@ -174,14 +174,12 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 			cellPaths[i] = o.Cells.reserve(j.app)
 		}
 	}
-	// A run with an observer attached must simulate even when an earlier
-	// cell of the sweep already journaled its key, so that traces and
-	// metrics match those of an unjournaled sweep.
+	// A run with an observer attached is never answered from an earlier
+	// cell of the sweep that journaled its key, so that traces and metrics
+	// match those of an unjournaled sweep.
 	observed := o.Tracer != nil || o.Cells != nil || o.Metrics != nil
 	// A remote request is encoded once per key and shared by the key's
-	// copies, and only for a key that will reach RunRemote: a Settled key
-	// is answered from the journal or the memo. Observed cells always run,
-	// so they are always encoded.
+	// copies, and only for a cell the supervisor will send remote.
 	var reqs map[string][]byte
 	if o.RemoteEncode != nil {
 		reqs = make(map[string][]byte)
@@ -200,7 +198,7 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 			Run:      o.cellRun(store, j, cfg, path),
 			Observed: observed,
 		}
-		if key := cells[i].Key; reqs != nil && key != "" && (observed || !o.Sup.Settled(key)) {
+		if key := cells[i].Key; reqs != nil && o.Sup.SendsRemote(cells[i]) {
 			req, ok := reqs[key]
 			if !ok {
 				req = o.RemoteEncode(j.app, o.Scale, j.tr, o.TraceSeed, cfg, key)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"ipex/internal/harness"
 )
 
 // tiny returns options that keep test sweeps fast but still exercise the
@@ -78,33 +80,56 @@ func TestFig04(t *testing.T) {
 	}
 }
 
+// The headline figures share one set of runs: under a journaled
+// supervisor, the memo simulates each of its cells once.
 func TestHeadlineShares(t *testing.T) {
-	h, err := Headline(tiny())
+	o := tiny()
+	o.Sup = &harness.Supervisor{Journal: memSink{}}
+	fig10, err := Fig10(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Fig10.Rows) != 3 || len(h.Fig12.Rows) != 3 || len(h.Fig15.Rows) != 3 {
+	fig12, err := Fig12(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig14, err := Fig14(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig15, err := Fig15(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table2, err := Table2(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := o.Sup.Counters.Snapshot(); cs.Executed != uint64(4*len(o.Apps)) {
+		t.Errorf("executed %d cells, want %d: one per headline cell", cs.Executed, 4*len(o.Apps))
+	}
+	if len(fig10.Rows) != 3 || len(fig12.Rows) != 3 || len(fig15.Rows) != 3 {
 		t.Fatal("row counts wrong")
 	}
 	// IPEX must reduce prefetch operations on average (Fig. 12's claim).
-	if h.Fig12.Mean <= 0 {
-		t.Errorf("mean prefetch reduction = %v, want positive", h.Fig12.Mean)
+	if fig12.Mean <= 0 {
+		t.Errorf("mean prefetch reduction = %v, want positive", fig12.Mean)
 	}
 	// Normalized breakdowns: baseline totals are exactly 1.
-	for _, row := range h.Fig14.Rows {
+	for _, row := range fig14.Rows {
 		if row.Base.Total() < 0.999 || row.Base.Total() > 1.001 {
 			t.Errorf("%s: base normalized total = %v", row.App, row.Base.Total())
 		}
 	}
 	// Table 2 metrics are probabilities.
-	for _, v := range []float64{h.Table2.BaseAccI, h.Table2.BaseAccD, h.Table2.IPEXAccI, h.Table2.IPEXAccD,
-		h.Table2.BaseCovI, h.Table2.BaseCovD, h.Table2.IPEXCovI, h.Table2.IPEXCovD} {
+	for _, v := range []float64{table2.BaseAccI, table2.BaseAccD, table2.IPEXAccI, table2.IPEXAccD,
+		table2.BaseCovI, table2.BaseCovD, table2.IPEXCovI, table2.IPEXCovD} {
 		if v < 0 || v > 1 {
 			t.Errorf("Table 2 metric out of range: %v", v)
 		}
 	}
 	// Renderers produce the paper's labels.
-	if !strings.Contains(h.Fig10.String(), "gmean") || !strings.Contains(h.Table2.String(), "NVSRAMCache") {
+	if !strings.Contains(fig10.String(), "gmean") || !strings.Contains(table2.String(), "NVSRAMCache") {
 		t.Error("renderers missing expected content")
 	}
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // headlineRuns bundles the per-app runs that Figures 10 and 12–15 plus
-// Table 2 all share, so the sweep executes once.
+// Table 2 all derive from. Each figure runs them; in a journaled sweep the
+// supervisor's memo simulates each cell once and answers the repeats.
 type headlineRuns struct {
 	apps     []string
 	noPf     []nvp.Result
@@ -72,10 +73,6 @@ func Fig10(o Options) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig10From(h), nil
-}
-
-func fig10From(h *headlineRuns) *Fig10Result {
 	res := &Fig10Result{Skipped: h.skipped}
 	sNo := speedups(h.base, h.noPf)
 	sD := speedups(h.base, h.ipexData)
@@ -87,7 +84,7 @@ func fig10From(h *headlineRuns) *Fig10Result {
 	res.GmeanIPEXData = stats.Geomean(sD)
 	res.GmeanIPEXBoth = stats.Geomean(sB)
 	res.PrefetchGain = 1/res.GmeanNoPf - 1
-	return res
+	return res, nil
 }
 
 // String renders the figure.
@@ -177,10 +174,6 @@ func Fig12(o Options) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig12From(h), nil
-}
-
-func fig12From(h *headlineRuns) *Fig12Result {
 	res := &Fig12Result{Skipped: h.skipped}
 	var all []float64
 	for i, app := range h.apps {
@@ -191,7 +184,7 @@ func fig12From(h *headlineRuns) *Fig12Result {
 		all = append(all, red)
 	}
 	res.Mean = stats.Mean(all)
-	return res
+	return res, nil
 }
 
 // String renders the figure.
@@ -226,10 +219,6 @@ func Fig13(o Options) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig13From(h), nil
-}
-
-func fig13From(h *headlineRuns) *Fig13Result {
 	res := &Fig13Result{Skipped: h.skipped}
 	var traffics, energies []float64
 	for i, app := range h.apps {
@@ -243,7 +232,7 @@ func fig13From(h *headlineRuns) *Fig13Result {
 	}
 	res.MeanTraffic = stats.Mean(traffics)
 	res.MeanEnergy = stats.Mean(energies)
-	return res
+	return res, nil
 }
 
 // String renders the figure.
@@ -283,10 +272,6 @@ func Fig14(o Options) (*Fig14Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig14From(h), nil
-}
-
-func fig14From(h *headlineRuns) *Fig14Result {
 	res := &Fig14Result{Skipped: h.skipped}
 	var memRed, totRed []float64
 	for i, app := range h.apps {
@@ -303,7 +288,7 @@ func fig14From(h *headlineRuns) *Fig14Result {
 	}
 	res.MemoryReduction = stats.Mean(memRed)
 	res.TotalReduction = stats.Mean(totRed)
-	return res
+	return res, nil
 }
 
 // String renders the figure (three bars per app).
@@ -347,10 +332,6 @@ func Fig15(o Options) (*Fig15Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig15From(h), nil
-}
-
-func fig15From(h *headlineRuns) *Fig15Result {
 	res := &Fig15Result{Skipped: h.skipped}
 	var di, dd []float64
 	for i, app := range h.apps {
@@ -367,7 +348,7 @@ func fig15From(h *headlineRuns) *Fig15Result {
 	}
 	res.IDelta = stats.Mean(di)
 	res.DDelta = stats.Mean(dd)
-	return res
+	return res, nil
 }
 
 // String renders the figure.
@@ -395,10 +376,6 @@ func Table2(o Options) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return table2From(h), nil
-}
-
-func table2From(h *headlineRuns) *Table2Result {
 	mean := func(rs []nvp.Result, f func(nvp.Result) float64) float64 {
 		var xs []float64
 		for _, r := range rs {
@@ -416,7 +393,7 @@ func table2From(h *headlineRuns) *Table2Result {
 		IPEXAccD: mean(h.ipexBoth, func(r nvp.Result) float64 { return r.Data.Accuracy() }),
 		IPEXCovI: mean(h.ipexBoth, func(r nvp.Result) float64 { return r.Inst.Coverage() }),
 		IPEXCovD: mean(h.ipexBoth, func(r nvp.Result) float64 { return r.Data.Coverage() }),
-	}
+	}, nil
 }
 
 // String renders the table in the paper's layout.
@@ -426,31 +403,4 @@ func (r *Table2Result) String() string {
 	t.Row("NVSRAMCache", stats.Pct(r.BaseAccI), stats.Pct(r.BaseAccD), stats.Pct(r.BaseCovI), stats.Pct(r.BaseCovD))
 	t.Row("IPEX", stats.Pct(r.IPEXAccI), stats.Pct(r.IPEXAccD), stats.Pct(r.IPEXCovI), stats.Pct(r.IPEXCovD))
 	return "Table 2: prefetch accuracy and coverage\n" + t.String() + skippedNote(r.Skipped)
-}
-
-// HeadlineResult bundles Figures 10 and 12–15 plus Table 2 from a single
-// shared sweep (what cmd/experiments -all uses).
-type HeadlineResult struct {
-	Fig10  *Fig10Result
-	Fig12  *Fig12Result
-	Fig13  *Fig13Result
-	Fig14  *Fig14Result
-	Fig15  *Fig15Result
-	Table2 *Table2Result
-}
-
-// Headline runs the shared sweep once and derives all six results.
-func Headline(o Options) (*HeadlineResult, error) {
-	h, err := runHeadline(o, power.RFHome)
-	if err != nil {
-		return nil, err
-	}
-	return &HeadlineResult{
-		Fig10:  fig10From(h),
-		Fig12:  fig12From(h),
-		Fig13:  fig13From(h),
-		Fig14:  fig14From(h),
-		Fig15:  fig15From(h),
-		Table2: table2From(h),
-	}, nil
 }

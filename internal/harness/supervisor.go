@@ -125,11 +125,12 @@ type RemoteRunner interface {
 }
 
 // RemotePrefetcher is an optional extension of RemoteRunner. Before a Pool
-// dispatches a batch, it hands the runner the cells RunCell will really
-// send remote, so the runner can request them in bulk and answer each later
-// RunRemote from a result that has already arrived. The returned release
-// ends the prefetch: it is called once the batch has finished, and drops
-// whatever was fetched but not consumed.
+// dispatches a batch, it hands the runner the batch's cells that carry a
+// request and that Supervisor.SendsRemote accepts, each key once, so the
+// runner can request them in bulk and answer each later RunRemote from a
+// result that has already arrived. The returned release ends the prefetch:
+// it is called once the batch has finished, and drops whatever was fetched
+// but not consumed.
 type RemotePrefetcher interface {
 	PrefetchRemote(cells []RemoteCell) (release func())
 }
@@ -163,9 +164,10 @@ type Cell struct {
 	// and always runs locally, RemoteRunner or not.
 	RemoteReq []byte
 	// Observed marks a cell whose run feeds a per-run observer (an event
-	// tracer, a per-cell trace file, a metrics registry). It always runs,
-	// never answered by an earlier copy of its key, so observer output is
-	// the same as in an unjournaled sweep.
+	// tracer, a per-cell trace file, a metrics registry). The memo never
+	// answers it from an earlier copy of its key, so observer output is the
+	// same as in an unjournaled sweep; it still goes remote (and is
+	// prefetched) like any other cell.
 	Observed bool
 }
 
@@ -180,11 +182,11 @@ type Supervisor struct {
 	// journaling. A *Journal writes a durable file; a caller may wrap it to
 	// observe each entry.
 	//
-	// A journaled supervisor runs each key once: a repeat of a key
-	// waits for its first copy, skips RunRemote and local simulation, and
-	// journals a copy of the first copy's entry, so the journal still holds
-	// one identical line per cell. Only completed KindCell outcomes are
-	// shared; keyless and Observed cells always run.
+	// A journaled supervisor runs each key once (the memo): a repeat of a
+	// key waits for its first copy, skips RunRemote and local simulation,
+	// and journals a copy of the first copy's entry, so the journal still
+	// holds one identical line per cell. Only completed KindCell outcomes
+	// are shared; the memo never answers keyless or Observed cells.
 	Journal Sink
 	// Replay holds journaled entries from a resumed run, keyed by cell
 	// hash. Cells whose key maps to a KindCell entry return the journaled
@@ -220,10 +222,10 @@ type Supervisor struct {
 	// worthless: anything rendered from a filtered sweep must be
 	// discarded.
 	Skip func(key string) bool
-	// Remote, when non-nil, is offered every journaled cell that carries a
-	// RemoteReq before local execution. A handled cell is journaled from the
-	// remote result; a declined one falls through to the local retry loop
-	// unchanged (graceful degradation).
+	// Remote, when non-nil, is offered every cell that carries a RemoteReq
+	// and that SendsRemote accepts, before local execution. A handled cell
+	// is journaled from the remote result; a declined one falls through to
+	// the local retry loop unchanged (graceful degradation).
 	Remote RemoteRunner
 	// PropagatePanics returns an isolated cell panic to the caller as its
 	// *PanicError instead of soft-failing the cell into a zero result. A
@@ -256,25 +258,27 @@ func (s *Supervisor) admit() bool {
 	return s.admitted.Add(1) <= s.StopAfter
 }
 
-// Settled reports whether a non-observed cell with this key would be
-// answered without running: by a replayable entry of a resumed journal, or
-// by a finished memo entry of this journaled sweep. Such a cell never
-// reaches RunRemote, so it needs no remote request. Nil-safe.
-func (s *Supervisor) Settled(key string) bool {
-	if s == nil || key == "" {
+// SendsRemote reports whether RunCell offers c to RunRemote once c carries
+// a RemoteReq: a runner is installed, c has a key, no entry of a resumed
+// journal replays it, and the memo will not answer it (c is not memoized,
+// or its key has no finished entry yet). It never calls Skip: RunCell
+// consults Skip first, once per cell, as a cell-start probe. Nil-safe.
+func (s *Supervisor) SendsRemote(c Cell) bool {
+	if s == nil || s.Remote == nil || c.Key == "" || s.replayed(c.Key) != nil {
 		return false
 	}
-	if e := s.Replay[key]; e != nil && e.Kind == KindCell && e.Result != nil {
-		return true
-	}
-	return s.Journal != nil && s.memo.finished(key)
+	return !s.memoized(c) || !s.memo.finished(c.Key)
+}
+
+// memoized reports whether the memo shares c's key: only unobserved keyed
+// cells of a journaled sweep.
+func (s *Supervisor) memoized(c Cell) bool {
+	return s != nil && s.Journal != nil && c.Key != "" && !c.Observed
 }
 
 // prefetch offers a batch's remote-bound cells to a RemotePrefetcher and
-// returns its release (nil when there is nothing to prefetch). It passes
-// only the cells RunCell would really send remote — keyed, carrying a
-// request, not observed, not Settled — each key once. It never calls Skip:
-// RunCell consults Skip first, once per cell, as a cell-start probe.
+// returns its release (nil when there is nothing to prefetch): every cell
+// that carries a request and that SendsRemote accepts, each key once.
 func (s *Supervisor) prefetch(cells []Cell) func() {
 	if s == nil {
 		return nil
@@ -286,7 +290,7 @@ func (s *Supervisor) prefetch(cells []Cell) func() {
 	var batch []RemoteCell
 	seen := make(map[string]bool)
 	for _, c := range cells {
-		if c.Key == "" || len(c.RemoteReq) == 0 || c.Observed || seen[c.Key] || s.Settled(c.Key) {
+		if len(c.RemoteReq) == 0 || seen[c.Key] || !s.SendsRemote(c) {
 			continue
 		}
 		seen[c.Key] = true
@@ -298,13 +302,21 @@ func (s *Supervisor) prefetch(cells []Cell) func() {
 	return pf.PrefetchRemote(batch)
 }
 
+// replayed returns the resumed journal's entry that answers key, or nil.
+func (s *Supervisor) replayed(key string) *Entry {
+	if e := s.Replay[key]; e != nil && e.Kind == KindCell && e.Result != nil {
+		return e
+	}
+	return nil
+}
+
 // replay looks up a journaled result for the cell.
 func (s *Supervisor) replay(c Cell) (nvp.Result, bool) {
 	if s == nil || c.Key == "" {
 		return nvp.Result{}, false
 	}
-	e := s.Replay[c.Key]
-	if e == nil || e.Kind != KindCell || e.Result == nil {
+	e := s.replayed(c.Key)
+	if e == nil {
 		return nvp.Result{}, false
 	}
 	s.Counters.Replayed.Add(1)
@@ -330,7 +342,7 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 	if res, ok := s.replay(c); ok {
 		return res, nil, true
 	}
-	if s == nil || s.Journal == nil || c.Key == "" || c.Observed {
+	if !s.memoized(c) {
 		res, err, _ := s.execute(c, a)
 		return res, err, false
 	}
@@ -363,7 +375,7 @@ func (s *Supervisor) lead(c Cell, a *nvp.Arena, call *memoCall) (res nvp.Result,
 // isolation, journals the outcome, and returns the KindCell entry it
 // journaled (nil for a failure).
 func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, *Entry) {
-	if s != nil && s.Remote != nil && c.Key != "" && len(c.RemoteReq) > 0 {
+	if len(c.RemoteReq) > 0 && s.SendsRemote(c) {
 		res, handled, err := s.Remote.RunRemote(c.Key, c.Label, c.RemoteReq)
 		if handled {
 			if err != nil {

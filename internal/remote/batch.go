@@ -200,16 +200,15 @@ func (c *Client) primary(key string) *serverState {
 // of at most MaxBatchItems cells on a server whose breaker is closed. A
 // later RunRemote of a batched key waits for its frame (see awaitBatch);
 // every other cell — a key some running prefetch already covers included —
-// keeps its path. release cancels the streams still running, waits for
-// them, counts every frame no one consumed, and forgets the batch.
+// keeps its path. The harness offers each key once per call. release
+// cancels the streams still running, waits for them, counts every frame
+// no one consumed, and forgets the batch.
 func (c *Client) PrefetchRemote(cells []harness.RemoteCell) (release func()) {
 	groups := make(map[*serverState][]harness.RemoteCell)
-	seen := make(map[string]bool, len(cells))
 	for _, cell := range cells {
-		if seen[cell.Key] || c.prefetched(cell.Key) != nil {
+		if c.prefetched(cell.Key) != nil {
 			continue
 		}
-		seen[cell.Key] = true
 		if s := c.primary(cell.Key); s.br.current() == breakerClosed {
 			groups[s] = append(groups[s], cell)
 		}
@@ -441,7 +440,8 @@ func (bs *batchStream) run(ctx context.Context) {
 	}
 }
 
-// bucket counts one failed attempt of kind against s.
+// bucket counts one failed attempt of kind against s. Every outcome but
+// OK, of a per-cell attempt or a batched cell, is counted here.
 func (c *Client) bucket(kind outcomeKind, s *serverState) {
 	switch kind {
 	case outcomeCancel:

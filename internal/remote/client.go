@@ -547,35 +547,20 @@ func (c *Client) attempt(ctx context.Context, t *target, key string, body []byte
 	t.s.attempts.Inc()
 	start := trace.Start(c.clock)
 	res, ra, code, kind, err := c.doOnce(ctx, t.s, key, body)
-	switch kind {
-	case outcomeOK:
+	switch {
+	case kind == outcomeOK:
 		c.okAttempts.Inc()
 		trace.Span(c.clock, c.attemptSeconds, start)
 		t.s.br.report(true, t.trial)
-	case outcomeCancel:
-		// Our own hedge-race cancellation says nothing about the server:
-		// no breaker verdict, but a claimed trial slot must be released.
-		c.cancelledA.Inc()
+	case kind == outcomeCancel, kind == outcomeStatus && code == http.StatusTooManyRequests:
+		// Neither our own hedge-race cancellation nor backpressure (a live
+		// server protecting itself; its Retry-After is honored) says the
+		// server is down: no breaker verdict, but a claimed trial slot must
+		// be released.
+		c.bucket(kind, t.s)
 		t.s.br.release(t.trial)
-	case outcomeStatus:
-		c.statusErrs.Inc()
-		t.s.failures.Inc()
-		if code == http.StatusTooManyRequests {
-			// Backpressure is a live server protecting itself — honor the
-			// Retry-After instead of counting toward opening the breaker.
-			t.s.br.release(t.trial)
-		} else if t.s.br.report(false, t.trial) {
-			c.brOpens.Inc()
-		}
-	case outcomeNet:
-		c.netErrs.Inc()
-		t.s.failures.Inc()
-		if t.s.br.report(false, t.trial) {
-			c.brOpens.Inc()
-		}
-	case outcomeVerify:
-		c.verifyErrs.Inc()
-		t.s.failures.Inc()
+	default:
+		c.bucket(kind, t.s)
 		if t.s.br.report(false, t.trial) {
 			c.brOpens.Inc()
 		}

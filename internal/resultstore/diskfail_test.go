@@ -59,28 +59,3 @@ func TestDiskWriteFailureDegradesToMemory(t *testing.T) {
 		t.Fatalf("disk entry exists after failed write (stat err=%v)", err)
 	}
 }
-
-// TestPutDiskFailureStillServesMemory pins the same degradation for the
-// unconditional Put path: the error is reported and counted, but the memory
-// tier is installed regardless.
-func TestPutDiskFailureStillServesMemory(t *testing.T) {
-	reg := trace.NewRegistry()
-	s, err := New(t.TempDir(), 4, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diskErr := errors.New("read-only file system")
-	s.writeFile = func(string, []byte, os.FileMode) error { return diskErr }
-
-	want := []byte(`{"app":"crc"}`)
-	if err := s.Put("beef", want); !errors.Is(err, diskErr) {
-		t.Fatalf("Put error = %v, want the injected disk error", err)
-	}
-	if got := reg.Counter("store.disk_errors").Load(); got != 1 {
-		t.Fatalf("store.disk_errors = %d, want 1", got)
-	}
-	body, outcome, ok := s.Get("beef")
-	if !ok || outcome != OutcomeMemoryHit || !bytes.Equal(body, want) {
-		t.Fatalf("Get after failed Put: ok=%v outcome=%v, want memory hit", ok, outcome)
-	}
-}

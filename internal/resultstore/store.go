@@ -348,19 +348,6 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte
 	return body, outcome, nil
 }
 
-// Put stores a body in both tiers unconditionally (overwriting any previous
-// entry for the key). A disk-tier write failure is counted and returned, but
-// the memory tier is installed regardless — the entry degrades, it does not
-// vanish.
-func (s *Store) Put(key string, body []byte) error {
-	err := s.writeDisk(key, body)
-	if err != nil {
-		s.diskErrors.Inc()
-	}
-	s.insert(key, body)
-	return err
-}
-
 // insert adds (or refreshes) a memory-tier entry, evicting from the LRU
 // tail past capacity. Evicted bodies survive on the disk tier.
 func (s *Store) insert(key string, body []byte) {

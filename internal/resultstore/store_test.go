@@ -280,22 +280,12 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
-// TestPutOverwrites pins Put's unconditional-overwrite contract on both
-// tiers.
-func TestPutOverwrites(t *testing.T) {
-	s := mustStore(t, t.TempDir(), 4, nil)
-	if err := s.Put("k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("k", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if body, _, ok := s.Get("k"); !ok || !bytes.Equal(body, []byte("v2")) {
-		t.Fatalf("memory tier after overwrite: ok=%v body=%q", ok, body)
-	}
-	s2 := mustStore(t, s.dir, 4, nil)
-	if body, _, ok := s2.Get("k"); !ok || !bytes.Equal(body, []byte("v2")) {
-		t.Fatalf("disk tier after overwrite: ok=%v body=%q", ok, body)
+// compute stores body under key through GetOrCompute, which must compute
+// it.
+func compute(t *testing.T, s *Store, key string, body []byte) {
+	t.Helper()
+	if _, out, err := s.GetOrCompute(key, func() ([]byte, error) { return body, nil }); err != nil || out != OutcomeComputed {
+		t.Fatalf("GetOrCompute(%s) = %v, %v; want a computed body", key, out, err)
 	}
 }
 
@@ -311,9 +301,7 @@ func TestEvictDiskOver(t *testing.T) {
 	var sizes []int64
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if err := s.Put(key, body); err != nil {
-			t.Fatal(err)
-		}
+		compute(t, s, key, body)
 		info, err := os.Stat(s.DiskPath(key))
 		if err != nil {
 			t.Fatal(err)
@@ -370,9 +358,7 @@ func TestEvictDiskNeverTouchesMemory(t *testing.T) {
 	dir := t.TempDir()
 	s := mustStore(t, dir, 8, nil)
 	want := []byte("resident body")
-	if err := s.Put("hot", want); err != nil {
-		t.Fatal(err)
-	}
+	compute(t, s, "hot", want)
 	memBefore := s.MemLen()
 
 	// Evict everything from disk (cap of one byte).
