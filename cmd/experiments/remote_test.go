@@ -60,6 +60,48 @@ func TestEveryRegisteredCellIsRemotable(t *testing.T) {
 	t.Logf("%d keyed cells across %d experiments, all remotable", encoded, len(ids))
 }
 
+// TestEveryRegisteredCellKeyIsHarnessKey runs every registered experiment
+// at a tiny scale and requires the key each keyed cell gets — spliced from
+// its configuration's identity, marshaled once per point — to equal
+// harness.Key of the cell's full identity.
+func TestEveryRegisteredCellKeyIsHarnessKey(t *testing.T) {
+	sup := &harness.Supervisor{Remote: decliner{}}
+	var (
+		mu      sync.Mutex
+		checked int
+	)
+	for id, run := range registry {
+		o := experiments.Options{
+			Scale: 0.01,
+			Apps:  []string{"fft"},
+			Sup:   sup,
+			RemoteEncode: func(app string, scale float64, tr *power.Trace, seed uint64, cfg nvp.Config, key string) []byte {
+				ci, err := experiments.NewConfigIdentity(cfg)
+				if err != nil {
+					t.Errorf("%s: keyed cell without a config identity: %v", id, err)
+					return nil
+				}
+				want := harness.Key(experiments.CellIdentity{App: app, Scale: scale, TraceSeed: seed,
+					TraceName: tr.Name, TraceLen: len(tr.Samples), Config: ci})
+				if key != want {
+					t.Errorf("%s: %s cell keyed %s, harness.Key of its identity is %s", id, app, key, want)
+				}
+				mu.Lock()
+				checked++
+				mu.Unlock()
+				return nil
+			},
+		}
+		if _, err := run(o); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no cell reached the encoder; the test proved nothing")
+	}
+	t.Logf("%d keyed cells across %d experiments", checked, len(registry))
+}
+
 // decliner is a RemoteRunner that declines every cell.
 type decliner struct{}
 

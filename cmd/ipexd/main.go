@@ -116,7 +116,7 @@ func main() {
 		PropagatePanics: true,
 		Obs:             harness.NewObs(clock, reg),
 	}
-	srv := newServer(store, reg, sup, clock, remote.Limits{MaxScale: *maxScale, CellBudget: *cellBudget}, nWorkers, *queueDepth)
+	srv := newServer(store, reg, sup, clock, remote.Limits{MaxScale: *maxScale, CellBudget: *cellBudget}, nWorkers, *queueDepth, *cacheEntries)
 
 	start := time.Now()
 	expvar.Publish("ipexd", expvar.Func(func() any {

@@ -97,6 +97,14 @@ type server struct {
 	requests *trace.Counter
 	errs     *trace.Counter
 
+	// memo holds the cell key of each request body resolved, so that a
+	// repeated body — every warm fleet request — skips decoding, Build and
+	// hashing; memoHits counts the bodies it answered. A body maps to one
+	// key for the server's lifetime: the key is a function of the bytes and
+	// the server's fixed limits.
+	memo     *remote.BodyMemo[string]
+	memoHits *trace.Counter
+
 	// clock feeds the per-endpoint latency histograms (nil = silent, for
 	// tests that want deterministic scrapes).
 	clock         trace.Clock
@@ -107,7 +115,8 @@ type server struct {
 // newServer wires the store, registry, and supervisor together and starts
 // the worker pool: `workers` goroutines, each owning one nvp.Arena so
 // steady-state simulations allocate nothing, consuming the bounded queue.
-func newServer(store *resultstore.Store, reg *trace.Registry, sup *harness.Supervisor, clock trace.Clock, lim remote.Limits, workers, queueDepth int) *server {
+// memoEntries bounds the body → key memo (ipexd passes -cache-entries).
+func newServer(store *resultstore.Store, reg *trace.Registry, sup *harness.Supervisor, clock trace.Clock, lim remote.Limits, workers, queueDepth, memoEntries int) *server {
 	if workers < 1 {
 		workers = 1
 	}
@@ -124,6 +133,8 @@ func newServer(store *resultstore.Store, reg *trace.Registry, sup *harness.Super
 		queue:     make(chan task, queueDepth),
 		requests:  reg.Counter("ipexd.requests"),
 		errs:      reg.Counter("ipexd.errors"),
+		memo:      remote.NewBodyMemo[string](memoEntries),
+		memoHits:  reg.Counter("ipexd.memo_hits"),
 
 		clock:         clock,
 		runSeconds:    reg.Histogram("ipexd.run_seconds", nil),
@@ -229,7 +240,14 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := trace.Start(s.clock)
 	defer trace.Span(s.clock, s.runSeconds, start)
 
-	key, outcome, body, code, err := s.resolve(r.Body)
+	// One byte past the cap, so that DecodeRunRequest refuses an oversized
+	// body instead of reading a truncated one.
+	req, err := io.ReadAll(io.LimitReader(r.Body, remote.MaxRequestBody+1))
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+		return
+	}
+	key, outcome, body, code, err := s.resolve(req)
 	if err != nil {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", retryAfterSecs(key))
@@ -241,22 +259,36 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolve answers one /v1/run body — the whole of a /v1/run request and
-// one item of a /v1/batch stream: decode, build, key, then the store
-// (cache tiers, singleflight, or a simulation on the worker pool). On
-// failure it returns the response status and an error whose text is the
-// response message; key is set once the body got one.
-func (s *server) resolve(r io.Reader) (key string, outcome resultstore.Outcome, body []byte, code int, err error) {
-	rq, err := remote.DecodeRunRequest(r)
-	if err != nil {
-		return "", 0, nil, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+// one item of a /v1/batch stream: its cell key, from the memo or by decode,
+// build and hash, then the store (cache tiers, singleflight, or a
+// simulation on the worker pool). A memoized body is decoded and built again
+// only when the store must compute it. On failure it returns the response
+// status and an error whose text is the response message; key is set once
+// the body got one.
+func (s *server) resolve(req []byte) (key string, outcome resultstore.Outcome, body []byte, code int, err error) {
+	sum := sha256.Sum256(req)
+	var sp remote.Spec
+	var tr *power.Trace
+	key, hit := s.memo.Get(sum)
+	if hit {
+		s.memoHits.Inc()
+	} else {
+		if sp, tr, key, err = s.spec(req); err != nil {
+			return "", 0, nil, http.StatusBadRequest, err
+		}
+		s.memo.Put(sum, key)
 	}
-	sp, err := rq.Build(s.lim)
-	if err != nil {
-		return "", 0, nil, http.StatusBadRequest, err
-	}
-	tr := power.Shared(sp.Source, sp.Seed)
-	key = sp.Key(tr.Name, len(tr.Samples))
 	body, outcome, err = s.store.GetOrCompute(key, func() ([]byte, error) {
+		if hit {
+			var again string
+			var err error
+			if sp, tr, again, err = s.spec(req); err != nil {
+				return nil, err
+			}
+			if again != key {
+				return nil, fmt.Errorf("request body re-keyed from %s to %s", key, again)
+			}
+		}
 		return s.simulate(key, sp, tr)
 	})
 	switch {
@@ -269,6 +301,20 @@ func (s *server) resolve(r io.Reader) (key string, outcome resultstore.Outcome, 
 	default:
 		return key, 0, nil, http.StatusInternalServerError, err
 	}
+}
+
+// spec decodes and builds one request body and derives its cell key; every
+// error is a client error.
+func (s *server) spec(req []byte) (sp remote.Spec, tr *power.Trace, key string, err error) {
+	rq, err := remote.DecodeRunRequest(req)
+	if err != nil {
+		return sp, nil, "", fmt.Errorf("decoding request: %w", err)
+	}
+	if sp, err = rq.Build(s.lim); err != nil {
+		return sp, nil, "", err
+	}
+	tr = power.Shared(sp.Source, sp.Seed)
+	return sp, tr, sp.Key(tr.Name, len(tr.Samples)), nil
 }
 
 // handleBatch serves POST /v1/batch: a JSONL body of /v1/run bodies,
@@ -354,7 +400,9 @@ func (s *server) batchItem(i int, line []byte) (key string, status int, cache st
 		s.errs.Inc()
 		return "", http.StatusRequestEntityTooLarge, "", []byte(fmt.Sprintf("batch item %d beyond the %d-item cap", i, remote.MaxBatchItems))
 	}
-	key, outcome, body, status, err := s.resolve(bytes.NewReader(line))
+	// The item is the line without its terminator, so that it shares its
+	// memo entry with the same body sent to /v1/run.
+	key, outcome, body, status, err := s.resolve(bytes.TrimSuffix(line, []byte("\n")))
 	if err != nil {
 		s.errs.Inc()
 		return key, status, "", []byte(err.Error())

@@ -24,15 +24,22 @@ import (
 // struct, so tests can reach its queue and counters directly.
 func newTestServer(t *testing.T, dir string, workers, queueDepth int) (*server, *httptest.Server) {
 	t.Helper()
+	return newSizedTestServer(t, dir, workers, queueDepth, 64, 64)
+}
+
+// newSizedTestServer is newTestServer with the store's memory tier and the
+// body → key memo sized, as ipexd sizes both by -cache-entries.
+func newSizedTestServer(t *testing.T, dir string, workers, queueDepth, cacheEntries, memoEntries int) (*server, *httptest.Server) {
+	t.Helper()
 	reg := trace.NewRegistry()
-	store, err := resultstore.New(dir, 64, reg)
+	store, err := resultstore.New(dir, cacheEntries, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup := &harness.Supervisor{PropagatePanics: true}
 	// A FakeClock (never advanced unless a test advances it) keeps latency
 	// histograms present-but-deterministic in scrape assertions.
-	s := newServer(store, reg, sup, &trace.FakeClock{}, remote.Limits{MaxScale: 1}, workers, queueDepth)
+	s := newServer(store, reg, sup, &trace.FakeClock{}, remote.Limits{MaxScale: 1}, workers, queueDepth, memoEntries)
 	ts := httptest.NewServer(s.mux())
 	t.Cleanup(func() {
 		ts.Close()
@@ -335,6 +342,9 @@ func TestBadRequests(t *testing.T) {
 		"unknown-fault-field":  `{"app":"fft","config":{"faults":{"sensor":{"gremlins":1}}}}`,
 		"huge-ckpt-bounds":     `{"app":"fft","config":{"faults":{"checkpoint":{"write_fail_prob":1,"max_retries":2147483647,"max_rollbacks":2147483647}}}}`,
 		"not-json":             `not even json`,
+		"trailing-request":     `{"app":"fft","scale":0.02}{"app":"qsort","scale":0.02}`,
+		"trailing-junk":        `{"app":"fft","scale":0.02} x`,
+		"oversize":             `{"app":"fft","scale":0.02}` + strings.Repeat(" ", remote.MaxRequestBody),
 	} {
 		resp := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -114,32 +115,74 @@ type CellIdentity struct {
 }
 
 // Key hashes the identity into the 32-hex-digit content key used by the
-// journal and the result store.
-func (id CellIdentity) Key() string { return harness.Key(id) }
+// journal and the result store: harness.Key of the identity.
+func (id CellIdentity) Key() string {
+	return IdentityKey(id.App, id.Scale, id.TraceSeed, id.TraceName, id.TraceLen, MarshalIdentity(id.Config))
+}
 
-// cellKey hashes the content identity of one job under the normalized
-// options. cfg must be the effective config (cell budget clamp and paranoid
-// flag already applied), minus observer attachments. A config with no
-// stable identity (unnamed prefetcher factory) returns "", which the
-// harness treats as unkeyable: the cell always simulates and is never
-// journaled or replayed.
-func cellKey(o Options, j job, cfg nvp.Config) string {
+// cellHeader is CellIdentity without its Config: the same fields in the
+// same order, so the JSON of a CellIdentity is the JSON of its header with
+// the Config field spliced in before the closing brace.
+type cellHeader struct {
+	App       string
+	Scale     float64
+	TraceSeed uint64
+	TraceName string
+	TraceLen  int
+}
+
+// MarshalIdentity is the JSON of a config identity, as IdentityKey takes
+// it. Like harness.Key, it panics on a value that cannot be marshaled.
+func MarshalIdentity(ci ConfigIdentity) []byte {
+	b, err := json.Marshal(ci)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: unhashable config identity: %v", err))
+	}
+	return b
+}
+
+// IdentityKey is the key of the CellIdentity made of these fields and a
+// Config whose MarshalIdentity is config. Every cell key is derived here,
+// so a caller that keys many cells of one configuration marshals the
+// configuration once and pays per cell only for the small header and the
+// hash.
+func IdentityKey(app string, scale float64, traceSeed uint64, traceName string, traceLen int, config []byte) string {
+	head, err := json.Marshal(cellHeader{App: app, Scale: scale, TraceSeed: traceSeed, TraceName: traceName, TraceLen: traceLen})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: unhashable cell identity: %v", err))
+	}
+	const field = `,"Config":`
+	b := make([]byte, 0, len(head)-1+len(field)+len(config)+1)
+	b = append(b, head[:len(head)-1]...)
+	b = append(b, field...)
+	b = append(b, config...)
+	b = append(b, '}')
+	return harness.KeyJSON(b)
+}
+
+// identityJSON is the MarshalIdentity of cfg's content identity, or nil
+// when cfg has none (an unnamed prefetcher factory, see NewConfigIdentity).
+func identityJSON(cfg nvp.Config) []byte {
 	ci, err := NewConfigIdentity(cfg)
 	if err != nil {
+		return nil
+	}
+	return MarshalIdentity(ci)
+}
+
+// cellKey hashes the content identity of one job under the normalized
+// options from the job's marshaled config identity. A job whose config has
+// no stable identity (ident nil) returns "", which the harness treats as
+// unkeyable: the cell always simulates and is never journaled or replayed.
+func cellKey(o Options, j job) string {
+	if j.ident == nil {
 		return ""
 	}
 	name, n := "", 0
 	if j.tr != nil {
 		name, n = j.tr.Name, len(j.tr.Samples)
 	}
-	return CellIdentity{
-		App:       j.app,
-		Scale:     o.Scale,
-		TraceSeed: o.TraceSeed,
-		TraceName: name,
-		TraceLen:  n,
-		Config:    ci,
-	}.Key()
+	return IdentityKey(j.app, o.Scale, o.TraceSeed, name, n, j.ident)
 }
 
 // SweepIdentity describes a whole sweep invocation for the journal header:

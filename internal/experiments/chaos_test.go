@@ -156,25 +156,25 @@ func TestResumeRejectsChangedSweep(t *testing.T) {
 func TestCellKeysSeparateConfigurations(t *testing.T) {
 	o := chaosOpts().norm()
 	tr := o.trace(0)
-	j1 := job{app: "fft", tr: tr}
-	j1.cfg = o.effective(nvp.DefaultConfig())
-	k1 := cellKey(o, j1, j1.cfg)
-	if k2 := cellKey(o, j1, j1.cfg); k2 != k1 {
+	cfg := o.effective(nvp.DefaultConfig())
+	j1 := job{app: "fft", tr: tr, cfg: cfg, ident: identityJSON(cfg)}
+	k1 := cellKey(o, j1)
+	if k2 := cellKey(o, j1); k2 != k1 {
 		t.Fatal("identical cell hashed differently")
 	}
 	cfg2 := nvp.DefaultConfig()
 	cfg2.IPEXData = true
-	if k := cellKey(o, job{app: "fft", tr: tr, cfg: cfg2}, o.effective(cfg2)); k == k1 {
+	if k := cellKey(o, job{app: "fft", tr: tr, ident: identityJSON(o.effective(cfg2))}); k == k1 {
 		t.Fatal("config change did not change the cell key")
 	}
 	o2 := o
 	o2.Scale = o.Scale * 2
-	if k := cellKey(o2, j1, j1.cfg); k == k1 {
+	if k := cellKey(o2, j1); k == k1 {
 		t.Fatal("scale change did not change the cell key")
 	}
 	o3 := o
 	o3.TraceSeed = 99
-	if k := cellKey(o3, j1, j1.cfg); k == k1 {
+	if k := cellKey(o3, j1); k == k1 {
 		t.Fatal("seed change did not change the cell key")
 	}
 }

@@ -126,11 +126,14 @@ func (o Options) trace(src power.Source) *power.Trace {
 	return power.Shared(src, o.TraceSeed)
 }
 
-// job is one simulation request. where, when set, names the job's
+// job is one simulation request. cfg is the effective config (see
+// effective) and ident its marshaled content identity (identityJSON), both
+// shared by every job of one point. where, when set, names the job's
 // configuration in the error its failure aborts the experiment with.
 type job struct {
 	app   string
 	cfg   nvp.Config
+	ident []byte
 	tr    *power.Trace
 	where string
 }
@@ -187,21 +190,20 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 	cells := make([]harness.Cell, len(jobs))
 	for i := range jobs {
 		j := jobs[i]
-		cfg := o.effective(j.cfg)
 		var path string
 		if cellPaths != nil {
 			path = cellPaths[i]
 		}
 		cells[i] = harness.Cell{
-			Key:      cellKey(o, j, cfg),
+			Key:      cellKey(o, j),
 			Label:    j.app,
-			Run:      o.cellRun(store, j, cfg, path),
+			Run:      o.cellRun(store, j, path),
 			Observed: observed,
 		}
 		if key := cells[i].Key; reqs != nil && o.Sup.SendsRemote(cells[i]) {
 			req, ok := reqs[key]
 			if !ok {
-				req = o.RemoteEncode(j.app, o.Scale, j.tr, o.TraceSeed, cfg, key)
+				req = o.RemoteEncode(j.app, o.Scale, j.tr, o.TraceSeed, j.cfg, key)
 				reqs[key] = req
 			}
 			cells[i].RemoteReq = req
@@ -257,8 +259,9 @@ var testCellHook func(app string)
 // straight off the store's shared immutable trace arena through the
 // worker's nvp.Arena, so a steady-state cell neither copies the workload
 // nor allocates simulation state.
-func (o Options) cellRun(store *workload.Store, j job, cfg nvp.Config, cellPath string) func(context.Context, *nvp.Arena) (nvp.Result, error) {
+func (o Options) cellRun(store *workload.Store, j job, cellPath string) func(context.Context, *nvp.Arena) (nvp.Result, error) {
 	return func(ctx context.Context, a *nvp.Arena) (res nvp.Result, err error) {
+		cfg := j.cfg
 		st, err := store.Stream(j.app, o.Scale)
 		if err != nil {
 			return nvp.Result{}, err
@@ -321,8 +324,9 @@ type point struct {
 
 // runConfigs runs every point over every app as one pool batch — one remote
 // prefetch and one end-of-batch barrier per experiment — and returns one
-// app-ordered result slice per point. A labelled point's cell error reads
-// "title [label]: ...".
+// app-ordered result slice per point. Each point's effective config and its
+// marshaled identity are derived once and shared by the point's jobs. A
+// labelled point's cell error reads "title [label]: ...".
 func runConfigs(o Options, title string, pts []point) ([][]nvp.Result, error) {
 	jobs := make([]job, 0, len(pts)*len(o.Apps))
 	for _, pt := range pts {
@@ -330,8 +334,10 @@ func runConfigs(o Options, title string, pts []point) ([][]nvp.Result, error) {
 		if pt.label != "" {
 			where = fmt.Sprintf("%s [%s]", title, pt.label)
 		}
+		cfg := o.effective(pt.cfg)
+		ident := identityJSON(cfg)
 		for _, app := range o.Apps {
-			jobs = append(jobs, job{app: app, cfg: pt.cfg, tr: pt.tr, where: where})
+			jobs = append(jobs, job{app: app, cfg: cfg, ident: ident, tr: pt.tr, where: where})
 		}
 	}
 	rs, err := runAll(o, jobs)

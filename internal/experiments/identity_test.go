@@ -157,13 +157,13 @@ func TestUnnamedFactoryRefused(t *testing.T) {
 
 	o := Options{Scale: 0.02, TraceSeed: 1}.norm()
 	tr := o.trace(0)
-	if k := cellKey(o, job{app: "fft", tr: tr, cfg: cfg}, o.effective(cfg)); k != "" {
+	if k := cellKey(o, job{app: "fft", tr: tr, ident: identityJSON(o.effective(cfg))}); k != "" {
 		t.Fatalf("unnamed-factory cell got key %q, want \"\" (unkeyable)", k)
 	}
 
 	// Naming the factory restores a stable key.
 	cfg.IPrefetcherID = "custom/v1"
-	if k := cellKey(o, job{app: "fft", tr: tr, cfg: cfg}, o.effective(cfg)); k == "" {
+	if k := cellKey(o, job{app: "fft", tr: tr, ident: identityJSON(o.effective(cfg))}); k == "" {
 		t.Fatal("named-factory cell still unkeyable")
 	}
 }

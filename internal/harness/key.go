@@ -34,6 +34,12 @@ func Key(v any) string {
 	if err != nil {
 		panic(fmt.Sprintf("harness: unhashable key material: %v", err))
 	}
+	return KeyJSON(b)
+}
+
+// KeyJSON is Key for key material that is already marshaled: b must be the
+// JSON Key would marshal.
+func KeyJSON(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
 }

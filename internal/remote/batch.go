@@ -125,10 +125,8 @@ func readBatch(r io.Reader, keys []string, got func(i int, f BatchFrame, body []
 // decodeResult is the strict decode every verified result body passes,
 // from /v1/run and /v1/batch alike.
 func decodeResult(body []byte) (nvp.Result, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var res nvp.Result
-	err := dec.Decode(&res)
+	err := decodeStrict(body, &res)
 	return res, err
 }
 

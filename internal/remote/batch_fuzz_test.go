@@ -5,13 +5,15 @@ package remote
 // reader never panics, delivers frames in order and at most one per cell,
 // and a cell yields a result only from a frame that verifies — the body's
 // SHA-256 matches its header, a 200 frame echoes its cell's key, and the
-// body strictly decodes.
+// body strictly decodes: one JSON value with no unknown field and nothing
+// but whitespace after it.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"reflect"
 	"testing"
@@ -44,7 +46,8 @@ func FuzzBatchFrames(f *testing.F) {
 	f.Add(whole[:len(whole)/2])
 	f.Add(frames(f, frame(fuzzKeys[1], 200, testBody)))                     // wrong key
 	f.Add(frames(f, frame(fuzzKeys[0], 200, `{"App":"fft","Bogus":1}`)))    // unknown field
-	f.Add(frames(f, frame(fuzzKeys[0], 200, testBody+`{}`)))                // trailing junk
+	f.Add(frames(f, frame(fuzzKeys[0], 200, testBody+`{}`)))                // trailing junk: refused
+	f.Add(frames(f, frame(fuzzKeys[0], 200, testBody+" \n")))               // trailing whitespace: accepted
 	f.Add([]byte(`{"key":"x","status":200,"sha256":"00","len":-1}` + "\n")) // negative length
 	f.Add([]byte(`{"key":"x","status":200,"sha256":"00","len":99999999999}` + "\n"))
 	f.Add([]byte("\n\n\n"))
@@ -77,6 +80,9 @@ func FuzzBatchFrames(f *testing.F) {
 			dec.DisallowUnknownFields()
 			var want nvp.Result
 			wantErr := dec.Decode(&want)
+			if wantErr == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+				wantErr = errors.New("trailing data")
+			}
 			if (err == nil) != (wantErr == nil) || (err == nil && !reflect.DeepEqual(res, want)) {
 				t.Fatalf("frame %d yields %+v (err %v); its body strictly decodes to %+v (err %v)", i, res, err, want, wantErr)
 			}

@@ -3,13 +3,15 @@ package remote
 // FuzzRunRequest fuzzes the /v1/run decode→build path — the exact bytes an
 // ipexd accepts from the network. The invariants are the endpoint's safety
 // contract: the decoder never panics, never accepts more than
-// MaxRequestBody, and anything Build accepts holds at most
-// core.MaxThresholds thresholds and checkpoint retry/rollback bounds within
-// fault.RetriesCap/RollbacksCap, and has a well-formed, stable content
-// identity (the cell key the result cache files it under).
+// MaxRequestBody or anything but whitespace after the request, and
+// anything Build accepts holds at most core.MaxThresholds thresholds and
+// checkpoint retry/rollback bounds within fault.RetriesCap/RollbacksCap,
+// and has a well-formed, stable content identity (the cell key the result
+// cache files it under).
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -44,10 +46,27 @@ func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(`{"app":"fft","config":{"thresholds":[3.39,3.38,3.37,3.36,3.35,3.34,3.33,3.32,3.31]}}`))
 	f.Add([]byte(`{"app":"fft","config":{"faults":{"checkpoint":{"write_fail_prob":1,"max_retries":2147483647,"max_rollbacks":2147483647}}}}`))
 
+	f.Add([]byte(`{"app":"fft"}{"app":"qsort"}`))
+	f.Add([]byte(`{"app":"fft"} x`))
+	f.Add([]byte("{\"app\":\"fft\"} \t\r\n"))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rq, err := DecodeRunRequest(bytes.NewReader(data))
+		rq, err := DecodeRunRequest(data)
 		if err != nil {
 			return // rejected bytes are the decoder doing its job
+		}
+		// Accepted bytes are at most MaxRequestBody and one JSON value with
+		// nothing but whitespace after it.
+		if len(data) > MaxRequestBody {
+			t.Fatalf("decoder accepted a %d-byte body (cap %d)", len(data), MaxRequestBody)
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("decoder accepted %q, which is not JSON: %v", data, err)
+		}
+		if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+			t.Fatalf("decoder accepted %q with trailing data %q", data, rest)
 		}
 		sp, err := rq.Build(Limits{MaxScale: 10, CellBudget: 1 << 20})
 		if err != nil {

@@ -31,9 +31,9 @@
 package remote
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -218,27 +218,37 @@ type Spec struct {
 // experiments.CellIdentity construction the sweep journal uses — one key
 // schema across journal, cache, and wire.
 func (sp Spec) Key(traceName string, traceLen int) string {
-	return experiments.CellIdentity{
-		App:       sp.App,
-		Scale:     sp.Scale,
-		TraceSeed: sp.Seed,
-		TraceName: traceName,
-		TraceLen:  traceLen,
-		Config:    sp.Identity,
-	}.Key()
+	return experiments.IdentityKey(sp.App, sp.Scale, sp.Seed, traceName, traceLen, experiments.MarshalIdentity(sp.Identity))
 }
 
-// DecodeRunRequest parses a /v1/run body: at most MaxRequestBody bytes,
-// unknown fields rejected. It is the single decoder for the endpoint — the
+// DecodeRunRequest parses a /v1/run body: one JSON object of at most
+// MaxRequestBody bytes, unknown fields and anything but whitespace after
+// the object rejected. It is the single decoder for the endpoint — the
 // server calls it, and FuzzRunRequest fuzzes it.
-func DecodeRunRequest(r io.Reader) (RunRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBody))
+func DecodeRunRequest(body []byte) (RunRequest, error) {
+	var rq RunRequest
+	if len(body) > MaxRequestBody {
+		return rq, fmt.Errorf("request body exceeds %d bytes", MaxRequestBody)
+	}
 	// Unknown fields are a client error, not a default: a typo'd knob must
 	// not silently hash to (and be served as) a different configuration.
-	dec.DisallowUnknownFields()
-	var rq RunRequest
-	err := dec.Decode(&rq)
+	err := decodeStrict(body, &rq)
 	return rq, err
+}
+
+// decodeStrict decodes the one JSON value b holds into v: unknown fields
+// and anything but whitespace after the value are errors, so bytes either
+// mean exactly v or nothing.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("%d byte(s) of trailing data after the JSON value", len(rest))
+	}
+	return nil
 }
 
 // Build validates the request against the server limits and derives its
@@ -249,14 +259,7 @@ func (rq RunRequest) Build(lim Limits) (Spec, error) {
 	if rq.App == "" {
 		return sp, fmt.Errorf("missing app (want one of %s)", strings.Join(workload.Names(), ", "))
 	}
-	found := false
-	for _, n := range workload.Names() {
-		if n == rq.App {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !workload.Known(rq.App) {
 		return sp, fmt.Errorf("unknown app %q (want one of %s)", rq.App, strings.Join(workload.Names(), ", "))
 	}
 	sp.App = rq.App

@@ -226,6 +226,12 @@ func MustNew(name string, scale float64) Generator {
 	return g
 }
 
+// Known reports whether name is one of the 20 apps.
+func Known(name string) bool {
+	_, ok := specs[name]
+	return ok
+}
+
 // Names returns the 20 app names in alphabetical order (the order the
 // paper's figures list them).
 func Names() []string {
