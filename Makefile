@@ -67,8 +67,9 @@ tracestat-golden:
 # resumed sweep's -json output must be byte-identical to an uninterrupted
 # run (the tentpole guarantee of the crash-safe harness). A second,
 # multi-experiment pass checks that a journaled -all run prints the same
-# bytes as an unjournaled one while simulating each distinct cell key
-# once, and that its interrupt-and-resume round trip is byte-identical too.
+# bytes as an unjournaled one, that each of them simulates each distinct
+# cell key once, and that its interrupt-and-resume round trip is
+# byte-identical too.
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/experiments ./cmd/experiments || exit 1; \
@@ -85,17 +86,20 @@ resume-smoke:
 	diff -u $$tmp/golden.json $$tmp/resumed.json \
 		|| { echo "resume-smoke: resumed output differs from golden"; exit 1; }; \
 	all="-all -scale 0.02 -apps fft,gsme -json"; \
-	$$tmp/experiments $$all >$$tmp/all.json || exit 1; \
+	$$tmp/experiments $$all >$$tmp/all.json 2>$$tmp/all-plain.log \
+		|| { cat $$tmp/all-plain.log; exit 1; }; \
 	$$tmp/experiments $$all -journal $$tmp/all.jsonl >$$tmp/all-journaled.json 2>$$tmp/all.log \
 		|| { cat $$tmp/all.log; exit 1; }; \
 	diff -u $$tmp/all.json $$tmp/all-journaled.json \
 		|| { echo "resume-smoke: journaled -all output differs from unjournaled"; exit 1; }; \
-	executed=$$(sed -n 's/^supervision: \([0-9]*\) cell(s) executed.*/\1/p' $$tmp/all.log); \
 	distinct=$$(grep -o '"key":"[0-9a-f]*"' $$tmp/all.jsonl | sort -u | wc -l); \
-	if [ -z "$$executed" ] || [ "$$executed" -ne "$$distinct" ]; then \
-		echo "resume-smoke: -all executed '$$executed' cell(s), want one per distinct journal key ($$distinct)"; \
-		cat $$tmp/all.log; exit 1; \
-	fi; \
+	for log in all-plain.log all.log; do \
+		executed=$$(sed -n 's/^supervision: \([0-9]*\) cell(s) executed.*/\1/p' $$tmp/$$log); \
+		if [ -z "$$executed" ] || [ "$$executed" -ne "$$distinct" ]; then \
+			echo "resume-smoke: -all ($$log) executed '$$executed' cell(s), want one per distinct journal key ($$distinct)"; \
+			cat $$tmp/$$log; exit 1; \
+		fi; \
+	done; \
 	$$tmp/experiments $$all -journal $$tmp/all2.jsonl -interrupt-after 40 \
 		>/dev/null 2>$$tmp/all-interrupt.log; \
 	status=$$?; \
@@ -106,7 +110,7 @@ resume-smoke:
 	$$tmp/experiments $$all -journal $$tmp/all2.jsonl -resume >$$tmp/all-resumed.json || exit 1; \
 	diff -u $$tmp/all.json $$tmp/all-resumed.json \
 		|| { echo "resume-smoke: resumed -all output differs from unjournaled"; exit 1; }; \
-	echo "resume-smoke: resumed sweeps are byte-identical to uninterrupted runs; -all simulated each of its $$distinct distinct cells once"
+	echo "resume-smoke: resumed sweeps are byte-identical to uninterrupted runs; -all simulated each of its $$distinct distinct cells once, journaled or not"
 
 # Service smoke: start a real ipexd, prove the miss-then-hit contract over
 # HTTP (second identical request is a cache hit, byte-identical to the fresh
@@ -256,12 +260,13 @@ lint: vet
 # sweep output must stay byte-identical to the purely local golden, with
 # zero failed cells, and the remote summary must show the resilience
 # machinery actually fired (hedges under blackholes, remote cells despite
-# the kill, cells answered from /v1/batch frames). A -metrics sweep against
-# the surviving server must print the same bytes and still batch: observers
-# turn off the journal's memo, not batching. A local -resume of the
-# chaos sweep's journal must then re-execute
-# zero cells and print the same bytes. A last pass against a dead fleet must
-# degrade every cell to local execution — same bytes again.
+# the kill, cells answered from /v1/batch frames). A -listen sweep against
+# the surviving server must print the same bytes and still batch: an
+# observer changes neither the memo nor batching. -metrics with -servers
+# must be refused, since its dump would hold only the client's series. A
+# local -resume of the chaos sweep's journal must then re-execute zero cells
+# and print the same bytes. A last pass against a dead fleet must degrade
+# every cell to local execution — same bytes again.
 remote-smoke:
 	@tmp=$$(mktemp -d); d1=; d2=; f1=; f2=; \
 	trap 'kill -9 $$d1 $$d2 $$f1 $$f2 2>/dev/null; rm -rf "$$tmp"' EXIT; \
@@ -313,13 +318,19 @@ remote-smoke:
 		|| { echo "remote-smoke: blackholes never triggered a hedge:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
 	grep -Eq ' batched=[1-9]' $$tmp/sweep.log \
 		|| { echo "remote-smoke: no cell was answered from a /v1/batch frame:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
-	$$tmp/experiments $$args -servers "http://$$a2" -metrics $$tmp/m.json \
+	$$tmp/experiments $$args -servers "http://$$a2" -listen 127.0.0.1:0 \
 		-journal $$tmp/observed.jsonl >$$tmp/observed.json 2>$$tmp/observed.log \
 		|| { echo "remote-smoke: observed sweep failed"; cat $$tmp/observed.log; exit 1; }; \
 	diff -u $$tmp/golden.json $$tmp/observed.json \
 		|| { echo "remote-smoke: observed sweep output differs from local golden"; exit 1; }; \
 	grep -Eq ' batched=[1-9]' $$tmp/observed.log \
 		|| { echo "remote-smoke: an observed sweep batched no cell:"; grep '^remote:' $$tmp/observed.log; exit 1; }; \
+	if $$tmp/experiments $$args -servers "http://$$a2" -metrics $$tmp/m.json \
+		>/dev/null 2>$$tmp/metrics.log; then \
+		echo "remote-smoke: -servers with -metrics was accepted, want a refusal"; exit 1; \
+	fi; \
+	grep -q 'incompatible with -trace/-tracedir/-metrics' $$tmp/metrics.log \
+		|| { echo "remote-smoke: -servers with -metrics failed for another reason:"; cat $$tmp/metrics.log; exit 1; }; \
 	$$tmp/experiments $$args -journal $$tmp/sweep.jsonl -resume \
 		>$$tmp/resumed.json 2>$$tmp/resume.log || { cat $$tmp/resume.log; exit 1; }; \
 	diff -u $$tmp/golden.json $$tmp/resumed.json \
@@ -333,7 +344,7 @@ remote-smoke:
 		|| { echo "remote-smoke: dead-fleet sweep output differs from local golden"; exit 1; }; \
 	grep -Eq '^remote: cells=0 (fallback=[1-9]|fallback=0 unroutable=[1-9])' $$tmp/down.log \
 		|| { echo "remote-smoke: dead fleet did not degrade to local:"; grep '^remote:' $$tmp/down.log; exit 1; }; \
-	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local, batched cells included, observed too; its resume executed 0 cells; dead fleet degraded cleanly"
+	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local, batched cells included, observed too; its resume executed 0 cells; dead fleet degraded cleanly; -metrics refused"
 
 ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke fuzz bench-smoke
 	$(GO) test -run=NONE -bench=BenchmarkFig10 -benchtime=1x ./...

@@ -158,12 +158,8 @@ func main() {
 		os.Exit(1)
 	}
 	if *apps != "" {
-		known := make(map[string]bool, len(workload.Names()))
-		for _, n := range workload.Names() {
-			known[n] = true
-		}
 		for _, a := range strings.Split(*apps, ",") {
-			if !known[a] {
+			if !workload.Known(a) {
 				fmt.Fprintf(os.Stderr, "experiments: unknown app %q in -apps (want a subset of %s)\n",
 					a, strings.Join(workload.Names(), ", "))
 				os.Exit(1)
@@ -195,10 +191,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: -remote-retries must be >= 0, got %d\n", *remoteRetries)
 			os.Exit(1)
 		}
-		// A remote cell produces no local trace events, so tracing
-		// contradicts farming the cell out.
-		if *tracePath != "" || *traceDir != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -servers is incompatible with -trace/-tracedir (remote cells emit no local trace events)")
+		// A remote cell produces no local trace events or simulator
+		// counters, so tracing or a metrics dump contradicts farming the
+		// cell out: the dump would hold only the client's remote.* series.
+		if *tracePath != "" || *traceDir != "" || *metricsOut != "" {
+			fmt.Fprintln(os.Stderr, "experiments: -servers is incompatible with -trace/-tracedir/-metrics (remote cells emit no local trace events or simulator counters)")
 			os.Exit(1)
 		}
 	}
@@ -527,7 +524,7 @@ func main() {
 	}
 	telemetryShutdown()
 
-	if cs := sup.Counters.Snapshot(); cs != (harness.CounterSnapshot{}) && (journal != nil || interrupted || rc != nil || cs.Retried+cs.Panics+cs.Timeouts > 0) {
+	if cs := sup.Counters.Snapshot(); cs != (harness.CounterSnapshot{}) {
 		fmt.Fprintf(os.Stderr, "supervision: %d cell(s) executed, %d replayed, %d remote, %d retried, %d timeouts, %d panics, %d failed\n",
 			cs.Executed, cs.Replayed, cs.Remote, cs.Retried, cs.Timeouts, cs.Panics, cs.Failures)
 	}

@@ -108,3 +108,45 @@ type decliner struct{}
 func (decliner) RunRemote(string, string, []byte) (nvp.Result, bool, error) {
 	return nvp.Result{}, false, nil
 }
+
+// TestNoBatchRepeatsAKey scans the -all sweep without simulating: a Skip
+// supervisor records every keyed cell, and no experiment (one pool batch)
+// may repeat a key. Every repeat is then a key an earlier, finished batch
+// ran, so which copy the memo runs — and so which per-cell trace files a
+// sweep writes — does not depend on scheduling.
+func TestNoBatchRepeatsAKey(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		keys []string
+	)
+	sup := &harness.Supervisor{Skip: func(key string) bool {
+		mu.Lock()
+		keys = append(keys, key)
+		mu.Unlock()
+		return true
+	}}
+	if len(order) != len(registry) {
+		t.Fatalf("-all runs %d experiments, the registry holds %d", len(order), len(registry))
+	}
+	seen := make(map[string]bool)
+	cells := 0
+	for _, id := range order {
+		keys = nil
+		if _, err := registry[id](experiments.Options{Scale: 0.01, Sup: sup}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		batch := make(map[string]bool, len(keys))
+		for _, k := range keys {
+			if batch[k] {
+				t.Errorf("%s: key %s repeats inside the batch", id, k)
+			}
+			batch[k] = true
+			seen[k] = true
+		}
+		cells += len(keys)
+	}
+	if len(seen) == 0 || len(seen) == cells {
+		t.Fatalf("%d keyed cells, %d distinct: the sweep has no repeats to test", cells, len(seen))
+	}
+	t.Logf("%d keyed cells, %d distinct keys", cells, len(seen))
+}

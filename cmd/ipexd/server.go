@@ -289,7 +289,7 @@ func (s *server) resolve(req []byte) (key string, outcome resultstore.Outcome, b
 				return nil, fmt.Errorf("request body re-keyed from %s to %s", key, again)
 			}
 		}
-		return s.simulate(key, sp, tr)
+		return s.simulate(sp, tr)
 	})
 	switch {
 	case err == nil:
@@ -453,10 +453,13 @@ func (s *server) serveBody(w http.ResponseWriter, key string, outcome resultstor
 // the bytes that enter the store and therefore the bytes every future hit
 // serves. Only called inside the store's singleflight, so concurrent
 // identical requests cost exactly one queue slot and one simulation.
-func (s *server) simulate(key string, sp remote.Spec, tr *power.Trace) ([]byte, error) {
+//
+// The cell is unkeyed on purpose. The store owns keying, coalescing and the
+// bounded cache; a keyed cell would also enter the long-lived supervisor's
+// memo, which keeps every result it has run with no bound.
+func (s *server) simulate(sp remote.Spec, tr *power.Trace) ([]byte, error) {
 	t := task{
 		cell: harness.Cell{
-			Key:   key,
 			Label: sp.App,
 			Run: func(ctx context.Context, a *nvp.Arena) (nvp.Result, error) {
 				if testRunHook != nil {

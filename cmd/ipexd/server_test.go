@@ -128,6 +128,24 @@ func TestMissThenHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestBoundedStoreIsOnlyCache pins that the server's result store, and
+// nothing behind it, remembers results: with one memory entry and no disk
+// tier, A, B, A evicts A and its repeat simulates again. Keyed cells would
+// let the supervisor's unbounded memo answer the repeat instead.
+func TestBoundedStoreIsOnlyCache(t *testing.T) {
+	s, ts := newSizedTestServer(t, "", 1, 8, 1, 1)
+	for i, body := range []string{smallRun, `{"app":"qsort","scale":0.02}`, smallRun} {
+		resp := postRun(t, ts, body)
+		readAll(t, resp)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Ipex-Cache") != "miss" {
+			t.Fatalf("request %d: %s, X-Ipex-Cache=%q, want 200 miss", i, resp.Status, resp.Header.Get("X-Ipex-Cache"))
+		}
+	}
+	if cs := s.sup.Counters.Snapshot(); cs.Executed != 3 || cs.Replayed != 0 {
+		t.Fatalf("supervisor counters = %+v, want 3 executed, 0 replayed", cs)
+	}
+}
+
 // TestSingleflightConcurrent proves N concurrent identical requests cost one
 // simulation: the worker holds the leader's cell (via testRunHook) until all
 // requests are in the handler, then everyone completes with the same body

@@ -81,7 +81,7 @@ func main() {
 	if !(*scale > 0) || math.IsInf(*scale, 0) {
 		fatalf("-scale must be a positive finite number, got %g", *scale)
 	}
-	if !validApp(*app) {
+	if !workload.Known(*app) {
 		fatalf("unknown -app %q (want one of %s)", *app, strings.Join(workload.Names(), ", "))
 	}
 	if *degree < 1 || *degree > prefetch.MaxDegree {
@@ -313,16 +313,6 @@ func main() {
 		}
 		fmt.Printf("\nper-power-cycle attribution:\n%s", p.CycleTable(n))
 	}
-}
-
-// validApp reports whether name is a known workload.
-func validApp(name string) bool {
-	for _, n := range workload.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // printCycles renders the first n power cycles of the telemetry log.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ipex/internal/harness"
 	"ipex/internal/tracestat"
 )
 
@@ -75,17 +76,10 @@ func TestCellTracingParallelSweep(t *testing.T) {
 }
 
 // TestCellNamesDeterministic: the same command line reserves the same names
-// regardless of Parallelism.
+// regardless of Parallelism. Under one supervisor, Fig12 after Fig10 writes
+// no file: every Fig12 cell repeats a key Fig10 already ran.
 func TestCellNamesDeterministic(t *testing.T) {
-	runNames := func(par int) []string {
-		dir := t.TempDir()
-		o := tiny()
-		o.Parallelism = par
-		o.Cells = NewCellTracing(dir)
-		o.Cells.SetLabel("fig11")
-		if _, err := Fig11(o); err != nil {
-			t.Fatal(err)
-		}
+	listNames := func(dir string) []string {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -97,9 +91,44 @@ func TestCellNamesDeterministic(t *testing.T) {
 		sort.Strings(names)
 		return names
 	}
-	a, b := runNames(1), runNames(8)
-	if strings.Join(a, ",") != strings.Join(b, ",") {
-		t.Errorf("cell names depend on parallelism:\n%v\nvs\n%v", a, b)
+	runNames := func(par int) []string {
+		dir := t.TempDir()
+		o := tiny()
+		o.Parallelism = par
+		o.Cells = NewCellTracing(dir)
+		o.Cells.SetLabel("fig11")
+		if _, err := Fig11(o); err != nil {
+			t.Fatal(err)
+		}
+		return listNames(dir)
+	}
+	sharedNames := func(par int) []string {
+		dir := t.TempDir()
+		o := tiny()
+		o.Parallelism = par
+		o.Sup = &harness.Supervisor{}
+		o.Cells = NewCellTracing(dir)
+		o.Cells.SetLabel("fig10")
+		if _, err := Fig10(o); err != nil {
+			t.Fatal(err)
+		}
+		fig10 := o.Cells.Files()
+		o.Cells.SetLabel("fig12")
+		if _, err := Fig12(o); err != nil {
+			t.Fatal(err)
+		}
+		names := listNames(dir)
+		if o.Cells.Files() != fig10 || uint64(len(names)) != fig10 || fig10 == 0 {
+			t.Fatalf("parallelism %d: Fig10 wrote %d files, Fig10+Fig12 %d (%d on disk); want Fig12 to write none",
+				par, fig10, o.Cells.Files(), len(names))
+		}
+		return names
+	}
+	for name, run := range map[string]func(int) []string{"fig11": runNames, "fig10+fig12": sharedNames} {
+		a, b := run(1), run(8)
+		if strings.Join(a, ",") != strings.Join(b, ",") {
+			t.Errorf("%s: cell names depend on parallelism:\n%v\nvs\n%v", name, a, b)
+		}
 	}
 }
 

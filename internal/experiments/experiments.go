@@ -67,17 +67,18 @@ type Options struct {
 	// harness.ErrInterrupted. The context is deliberately NOT passed to the
 	// simulations themselves — an interrupt never discards work in flight.
 	Ctx context.Context
-	// Sup, when non-nil, supervises every cell: durable journaling, replay
-	// on resume, bounded retries with deterministic backoff, a wall-clock
-	// backstop, and panic isolation. One Supervisor is shared across every
-	// experiment of a command invocation. Nil runs cells bare (but still
-	// panic-isolated by the zero supervisor).
+	// Sup, when non-nil, supervises every cell: one simulation per
+	// distinct cell key (later copies share its result), durable
+	// journaling, replay on resume, bounded retries with deterministic
+	// backoff, a wall-clock backstop, and panic isolation. One Supervisor
+	// is shared across every experiment of a command invocation. Nil runs
+	// every cell bare (but still panic-isolated).
 	//
 	// Cell identities hash the effective nvp.Config; caller-installed
 	// prefetcher factories contribute their declared
 	// IPrefetcherID/DPrefetcherID names. A factory installed without an
-	// ID has no stable identity, so its cells are never journaled or
-	// replayed — they simulate every time.
+	// ID has no stable identity, so its cells are never shared, journaled
+	// or replayed — they simulate every time.
 	Sup *harness.Supervisor
 	// CellBudget, when > 0, clamps every cell's nvp.Config.MaxCycles to at
 	// most this many simulated cycles — the deterministic per-cell
@@ -153,10 +154,11 @@ func (o Options) effective(cfg nvp.Config) nvp.Config {
 }
 
 // runAll executes jobs on the crash-safe harness pool, preserving order.
-// Every job becomes a supervised cell: journaled when Options.Sup carries a
-// journal, replayed instead of re-simulated on resume, retried on transient
-// failures, and panic-isolated (a panicking cell soft-fails into the
-// skipped-app path instead of taking the sweep down). Cancellation of
+// Every job becomes a supervised cell: simulated once per distinct key,
+// journaled when Options.Sup carries a journal, replayed instead of
+// re-simulated on resume, retried on transient failures, and
+// panic-isolated (a panicking cell soft-fails into the skipped-app path
+// instead of taking the sweep down). Cancellation of
 // Options.Ctx drains gracefully — in-flight cells complete — and surfaces
 // as a harness.ErrInterrupted-wrapped error. A cell error drains the batch
 // the same way and is returned in place of the interruption.
@@ -168,8 +170,9 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 	o.Progress.addTotal(uint64(len(jobs)))
 	// Per-cell trace paths are reserved here, in enqueue order, so the file
 	// names are deterministic however the workers get scheduled. Creation
-	// is deferred to the cell body: a replayed cell simulates nothing and
-	// therefore writes no trace file.
+	// is deferred to the cell body: a replayed cell, and a repeat of a key
+	// the supervisor has already run, simulates nothing and therefore
+	// writes no trace file.
 	var cellPaths []string
 	if o.Cells != nil {
 		cellPaths = make([]string, len(jobs))
@@ -177,10 +180,6 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 			cellPaths[i] = o.Cells.reserve(j.app)
 		}
 	}
-	// A run with an observer attached is never answered from an earlier
-	// cell of the sweep that journaled its key, so that traces and metrics
-	// match those of an unjournaled sweep.
-	observed := o.Tracer != nil || o.Cells != nil || o.Metrics != nil
 	// A remote request is encoded once per key and shared by the key's
 	// copies, and only for a cell the supervisor will send remote.
 	var reqs map[string][]byte
@@ -195,10 +194,9 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 			path = cellPaths[i]
 		}
 		cells[i] = harness.Cell{
-			Key:      cellKey(o, j),
-			Label:    j.app,
-			Run:      o.cellRun(store, j, path),
-			Observed: observed,
+			Key:   cellKey(o, j),
+			Label: j.app,
+			Run:   o.cellRun(store, j, path),
 		}
 		if key := cells[i].Key; reqs != nil && o.Sup.SendsRemote(cells[i]) {
 			req, ok := reqs[key]

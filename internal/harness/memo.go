@@ -2,15 +2,21 @@ package harness
 
 import "sync"
 
-// memo is a journaled Supervisor's singleflight over the cells it has
-// journaled: the first copy of a key leads and runs; every later copy waits
-// for the leader, then takes the leader's KindCell entry instead of
-// simulating or farming out the key again. A sweep's figures share their
-// per-app baselines, so about a third of a full sweep's cells repeat a key.
+// memo is a Supervisor's singleflight over every keyed cell it runs: the
+// first copy of a key leads and runs; every later copy waits for the
+// leader, then takes the leader's KindCell entry instead of simulating or
+// farming out the key again, and journals a copy of it when a journal is
+// attached. A sweep's figures share their per-app baselines, so about a
+// third of a full sweep's cells repeat a key. A repeat behaves like a
+// resumed cell: it runs no simulation, so it writes no trace file and adds
+// no metrics, and neither a journal nor an observer changes how many cells
+// a sweep simulates.
 //
 // The memo holds only completed KindCell entries. A fail, a panic, a
 // truncated run or an exhausted retry forgets the key, so the next copy runs
-// it afresh — exactly what a resume of the journal would do.
+// it afresh — exactly what a resume of the journal would do. Entries are
+// never evicted: a long-lived Supervisor that must bound its memory (ipexd)
+// runs unkeyed cells and caches elsewhere.
 type memo struct {
 	mu    sync.Mutex
 	calls map[string]*memoCall

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,36 +110,46 @@ func TestMemoSingleflightOnPool(t *testing.T) {
 	}
 }
 
+// The memo runs each key once whether or not a journal is attached.
 func TestMemoManyCopiesManyKeys(t *testing.T) {
-	s, lines := journaled(t)
-	calls := map[string]*atomic.Uint64{"a": {}, "b": {}, "c": {}}
-	var cells []Cell
-	for i := 0; i < 8; i++ {
-		for _, k := range []string{"a", "b", "c"} {
-			cells = append(cells, countingCell(k, calls[k]))
+	for _, withJournal := range []bool{false, true} {
+		s := &Supervisor{}
+		var lines func() [][]byte
+		if withJournal {
+			s, lines = journaled(t)
 		}
-	}
-	if _, _, interrupted := (&Pool{Workers: 4, Sup: s}).Run(cells); interrupted != nil {
-		t.Fatal(interrupted)
-	}
-	for k, n := range calls {
-		if n.Load() != 1 {
-			t.Errorf("key %s simulated %d times, want 1", k, n.Load())
+		calls := map[string]*atomic.Uint64{"a": {}, "b": {}, "c": {}}
+		var cells []Cell
+		for i := 0; i < 8; i++ {
+			for _, k := range []string{"a", "b", "c"} {
+				cells = append(cells, countingCell(k, calls[k]))
+			}
 		}
-	}
-	if cs := s.Counters.Snapshot(); cs.Executed != 3 || cs.Replayed != 21 {
-		t.Fatalf("counters = %+v, want Executed 3, Replayed 21", cs)
-	}
-	byLine := map[string]int{}
-	for _, l := range lines() {
-		byLine[string(l)]++
-	}
-	if len(byLine) != 3 {
-		t.Fatalf("journal holds %d distinct lines, want 3", len(byLine))
-	}
-	for l, n := range byLine {
-		if n != 8 {
-			t.Errorf("line written %d times, want 8: %s", n, l)
+		if _, _, interrupted := (&Pool{Workers: 4, Sup: s}).Run(cells); interrupted != nil {
+			t.Fatal(interrupted)
+		}
+		for k, n := range calls {
+			if n.Load() != 1 {
+				t.Errorf("journal=%v: key %s simulated %d times, want 1", withJournal, k, n.Load())
+			}
+		}
+		if cs := s.Counters.Snapshot(); cs.Executed != 3 || cs.Replayed != 21 {
+			t.Fatalf("journal=%v: counters = %+v, want Executed 3, Replayed 21", withJournal, cs)
+		}
+		if !withJournal {
+			continue
+		}
+		byLine := map[string]int{}
+		for _, l := range lines() {
+			byLine[string(l)]++
+		}
+		if len(byLine) != 3 {
+			t.Fatalf("journal holds %d distinct lines, want 3", len(byLine))
+		}
+		for l, n := range byLine {
+			if n != 8 {
+				t.Errorf("line written %d times, want 8: %s", n, l)
+			}
 		}
 	}
 }
@@ -213,23 +224,20 @@ func TestMemoWaiterRerunsAfterFailedLeader(t *testing.T) {
 	}
 }
 
+// A cell without a key always runs, journaled or not.
 func TestMemoNeverServes(t *testing.T) {
 	cases := []struct {
 		name string
 		sup  func(t *testing.T) *Supervisor
-		key  string
-		obs  bool
 	}{
-		{"empty key", func(t *testing.T) *Supervisor { s, _ := journaled(t); return s }, "", false},
-		{"no journal", func(*testing.T) *Supervisor { return &Supervisor{} }, "k", false},
-		{"observed cell", func(t *testing.T) *Supervisor { s, _ := journaled(t); return s }, "k", true},
+		{"empty key", func(t *testing.T) *Supervisor { s, _ := journaled(t); return s }},
+		{"empty key unjournaled", func(*testing.T) *Supervisor { return &Supervisor{} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.sup(t)
 			var calls atomic.Uint64
-			c := countingCell(tc.key, &calls)
-			c.Observed = tc.obs
+			c := countingCell("", &calls)
 			for i := 0; i < 2; i++ {
 				if _, _, replayed := s.RunCell(c, nil); replayed {
 					t.Fatalf("copy %d answered from the memo", i)
@@ -258,29 +266,36 @@ func (r *countingRemote) RunRemote(key, label string, _ []byte) (nvp.Result, boo
 	return okResult(label), true, nil
 }
 
+// A batch offers each key once, and each key goes remote once: the memo
+// answers every later copy, journaled or not.
 func TestMemoRemotableRepeatCallsRemoteOnce(t *testing.T) {
-	s, lines := journaled(t)
-	rr := &countingRemote{calls: map[string]int{}}
-	s.Remote = rr
-	var local atomic.Uint64
-	var cells []Cell
-	for i := 0; i < 3; i++ {
-		for _, k := range []string{"a", "b"} {
-			c := countingCell(k, &local)
-			c.RemoteReq = []byte(`{}`)
-			cells = append(cells, c)
+	for _, withJournal := range []bool{false, true} {
+		s := &Supervisor{}
+		var lines func() [][]byte
+		if withJournal {
+			s, lines = journaled(t)
 		}
-	}
-	if _, _, interrupted := (&Pool{Workers: 2, Sup: s}).Run(cells); interrupted != nil {
-		t.Fatal(interrupted)
-	}
-	if rr.calls["a"] != 1 || rr.calls["b"] != 1 || local.Load() != 0 {
-		t.Fatalf("RunRemote calls = %v, local runs = %d; want one remote call per key", rr.calls, local.Load())
-	}
-	if cs := s.Counters.Snapshot(); cs.Remote != 2 || cs.Replayed != 4 || cs.Executed != 0 {
-		t.Fatalf("counters = %+v", cs)
-	}
-	if n := len(lines()); n != 6 {
-		t.Fatalf("journal holds %d cell lines, want 6 (one per cell)", n)
+		rr := &prefetchingRemote{countingRemote: countingRemote{calls: map[string]int{}}}
+		s.Remote = rr
+		var local atomic.Uint64
+		cells := remoteCells(3, &local, "a", "b")
+		if _, _, interrupted := (&Pool{Workers: 2, Sup: s}).Run(cells); interrupted != nil {
+			t.Fatal(interrupted)
+		}
+		if len(rr.offered) != 1 || !slices.Equal(rr.offered[0], []string{"a", "b"}) {
+			t.Fatalf("journal=%v: offered %v, want one batch of [a b]: each key once", withJournal, rr.offered)
+		}
+		if rr.calls["a"] != 1 || rr.calls["b"] != 1 || local.Load() != 0 {
+			t.Fatalf("journal=%v: RunRemote calls = %v, local runs = %d; want one remote call per key",
+				withJournal, rr.calls, local.Load())
+		}
+		if cs := s.Counters.Snapshot(); cs.Remote != 2 || cs.Replayed != 4 || cs.Executed != 0 {
+			t.Fatalf("journal=%v: counters = %+v", withJournal, cs)
+		}
+		if withJournal {
+			if n := len(lines()); n != 6 {
+				t.Fatalf("journal holds %d cell lines, want 6 (one per cell)", n)
+			}
+		}
 	}
 }

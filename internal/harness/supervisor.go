@@ -66,9 +66,8 @@ func (p *PanicError) Error() string {
 // atomics, safe to read while a sweep runs.
 type Counters struct {
 	// Executed counts cells that ran in this process; Replayed counts
-	// cells answered from the journal without simulating: from a resumed
-	// journal's entries, or from an entry this sweep already journaled for
-	// the same key (see Supervisor.Journal).
+	// cells answered without simulating: from a resumed journal's entries,
+	// or by the memo from an earlier copy of the same key in this process.
 	Executed atomic.Uint64
 	Replayed atomic.Uint64
 	// Retried counts re-runs after a transient failure or truncation;
@@ -150,8 +149,8 @@ type RemoteCell struct {
 // state (never nil); implementations should run through it so steady-state
 // cells allocate nothing.
 type Cell struct {
-	// Key is the content-hash identity (see Key). Empty disables journal
-	// and replay for this cell (it always runs).
+	// Key is the content-hash identity (see Key). Empty disables journal,
+	// replay and the memo for this cell (it always runs).
 	Key string
 	// Label names the cell in journal entries and diagnostics (the app).
 	Label string
@@ -163,30 +162,20 @@ type Cell struct {
 	// exact cell identity. Empty means the cell is not expressible remotely
 	// and always runs locally, RemoteRunner or not.
 	RemoteReq []byte
-	// Observed marks a cell whose run feeds a per-run observer (an event
-	// tracer, a per-cell trace file, a metrics registry). The memo never
-	// answers it from an earlier copy of its key, so observer output is the
-	// same as in an unjournaled sweep; it still goes remote (and is
-	// prefetched) like any other cell.
-	Observed bool
 }
 
 // Supervisor wraps every cell of a sweep in the crash-safety envelope:
-// journal replay, bounded retries with deterministic exponential backoff,
-// an optional wall-clock watchdog, and panic isolation. One Supervisor is
-// shared by all of a sweep's experiment calls, so its StopAfter budget and
-// counters span the whole command invocation. The zero value supervises
-// with everything off (no journal, no retries, no backstop).
+// journal replay, the memo (each keyed cell runs once; see memo), bounded
+// retries with deterministic exponential backoff, an optional wall-clock
+// watchdog, and panic isolation. One Supervisor is shared by all of a
+// sweep's experiment calls, so its StopAfter budget, memo and counters span
+// the whole command invocation. The zero value supervises with the memo on
+// and everything else off (no journal, no retries, no backstop).
 type Supervisor struct {
 	// Journal receives one entry per finished cell; nil disables
 	// journaling. A *Journal writes a durable file; a caller may wrap it to
-	// observe each entry.
-	//
-	// A journaled supervisor runs each key once (the memo): a repeat of a
-	// key waits for its first copy, skips RunRemote and local simulation,
-	// and journals a copy of the first copy's entry, so the journal still
-	// holds one identical line per cell. Only completed KindCell outcomes
-	// are shared; the memo never answers keyless or Observed cells.
+	// observe each entry. A cell the memo answers journals a copy of its
+	// key's first entry, so the journal holds one identical line per cell.
 	Journal Sink
 	// Replay holds journaled entries from a resumed run, keyed by cell
 	// hash. Cells whose key maps to a KindCell entry return the journaled
@@ -260,20 +249,11 @@ func (s *Supervisor) admit() bool {
 
 // SendsRemote reports whether RunCell offers c to RunRemote once c carries
 // a RemoteReq: a runner is installed, c has a key, no entry of a resumed
-// journal replays it, and the memo will not answer it (c is not memoized,
-// or its key has no finished entry yet). It never calls Skip: RunCell
-// consults Skip first, once per cell, as a cell-start probe. Nil-safe.
+// journal replays it, and the memo has no finished entry for it. It never
+// calls Skip: RunCell consults Skip first, once per cell, as a cell-start
+// probe. Nil-safe.
 func (s *Supervisor) SendsRemote(c Cell) bool {
-	if s == nil || s.Remote == nil || c.Key == "" || s.replayed(c.Key) != nil {
-		return false
-	}
-	return !s.memoized(c) || !s.memo.finished(c.Key)
-}
-
-// memoized reports whether the memo shares c's key: only unobserved keyed
-// cells of a journaled sweep.
-func (s *Supervisor) memoized(c Cell) bool {
-	return s != nil && s.Journal != nil && c.Key != "" && !c.Observed
+	return s != nil && s.Remote != nil && c.Key != "" && s.replayed(c.Key) == nil && !s.memo.finished(c.Key)
 }
 
 // prefetch offers a batch's remote-bound cells to a RemotePrefetcher and
@@ -342,7 +322,7 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 	if res, ok := s.replay(c); ok {
 		return res, nil, true
 	}
-	if !s.memoized(c) {
+	if s == nil || c.Key == "" {
 		res, err, _ := s.execute(c, a)
 		return res, err, false
 	}
@@ -361,8 +341,8 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 	}
 }
 
-// lead runs a memoized key's first copy and publishes the entry it
-// journaled to the copies waiting on call. The publication is deferred so
+// lead runs a key's first copy and publishes its KindCell entry to the
+// copies waiting on call. The publication is deferred so
 // that waiters are released even if the run panics out of RunCell.
 func (s *Supervisor) lead(c Cell, a *nvp.Arena, call *memoCall) (res nvp.Result, err error, replayed bool) {
 	var e *Entry
