@@ -5,6 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ipex/internal/nvp"
+	"ipex/internal/trace"
 )
 
 // prefetchingRemote answers every cell remotely, counts RunRemote calls per
@@ -37,6 +40,44 @@ func remoteCells(copies int, calls *atomic.Uint64, keys ...string) []Cell {
 		}
 	}
 	return cells
+}
+
+// An observed journaled sweep — spans recorded and every finished cell
+// watched — still offers each key once and sends each key once: the
+// observer sees all six cells, four of them answered by the memo.
+func TestPrefetchOffersObservedCellsOncePerKey(t *testing.T) {
+	s, lines := journaled(t)
+	s.Obs = NewObs(&trace.FakeClock{}, trace.NewRegistry())
+	rr := &prefetchingRemote{countingRemote: countingRemote{calls: map[string]int{}}}
+	s.Remote = rr
+	var local, seen, replayed atomic.Uint64
+	p := &Pool{Workers: 2, Sup: s, OnDone: func(_ int, _ nvp.Result, _ error, rep bool) {
+		seen.Add(1)
+		if rep {
+			replayed.Add(1)
+		}
+	}}
+	if _, _, interrupted := p.Run(remoteCells(3, &local, "a", "b")); interrupted != nil {
+		t.Fatal(interrupted)
+	}
+	if len(rr.offered) != 1 {
+		t.Fatalf("PrefetchRemote called %d times, want once", len(rr.offered))
+	}
+	if got := rr.offered[0]; !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("offered keys %v, want [a b]: each key once", got)
+	}
+	if rr.calls["a"] != 1 || rr.calls["b"] != 1 || local.Load() != 0 {
+		t.Fatalf("RunRemote calls = %v, local runs = %d; want one remote call per key", rr.calls, local.Load())
+	}
+	if seen.Load() != 6 || replayed.Load() != 4 {
+		t.Fatalf("observer saw %d cells, %d replayed; want 6, 4", seen.Load(), replayed.Load())
+	}
+	if cs := s.Counters.Snapshot(); cs.Remote != 2 || cs.Replayed != 4 {
+		t.Fatalf("counters = %+v", cs)
+	}
+	if n := len(lines()); n != 6 {
+		t.Fatalf("journal holds %d cell lines, want 6", n)
+	}
 }
 
 // A key a resumed journal answers never reaches the runner: SendsRemote
