@@ -203,9 +203,13 @@ obs-smoke:
 # Short fuzzing passes over the untrusted-input surfaces: the simulator
 # configuration validator, the harvest-trace parser, the journal line
 # parser behind -resume, the /v1/run request decoder every ipexd exposes
-# to the network, and the /v1/batch frame reader every fleet client runs
-# on server bytes. `go test -fuzz` accepts one target per
-# invocation, hence one line each.
+# to the network, the /v1/batch frame reader every fleet client runs on
+# server bytes, and the one-pass result decoder held to encoding/json's
+# strict decode. `go test -fuzz` accepts one target per
+# invocation, hence one line each. A canonical result body is at least
+# 1.4 KB, and shrinking each new interesting one under the default 60 s
+# minimization budget would take the whole pass, so FuzzDecodeResult
+# minimizes for 2 s.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) ./internal/nvp/
@@ -213,8 +217,10 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzJournalLine -fuzztime=$(FUZZTIME) ./internal/harness/
 	$(GO) test -run=NONE -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzBatchFrames -fuzztime=$(FUZZTIME) ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeResult -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/remote/
 
-# Determinism lint: simulator internals must not read the wall clock (Now,
+# Formatting and determinism lint. Every Go file in the repository must be
+# as gofmt writes it. Simulator internals must not read the wall clock (Now,
 # Since, After, Sleep, or timer construction) or the global math/rand stream
 # — both would break replayable, seed-stable results. The one exception is
 # internal/trace/clock.go: the wall-clock Clock every latency span injects,
@@ -222,6 +228,11 @@ fuzz:
 # batch-stream stalls and chaos-proxy holds wait on. None of them touch
 # simulated results.
 lint: vet
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: files gofmt would change (run gofmt -w on them):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' internal/ --include='*.go' \
 		| grep -v '^internal/trace/clock\.go:' \
 		| grep -v '_test\.go'); \

@@ -37,23 +37,23 @@ type ConfigIdentity struct {
 	IPrefetcher        prefetch.Kind
 	DPrefetcher        prefetch.Kind
 	// IFactory/DFactory carry the declared factory IDs ("" = no factory).
-	IFactory           string
-	DFactory           string
-	InitialDegree      int
-	IPEXInst           bool
-	IPEXData           bool
-	IPEX               core.Config
-	NVM                energy.NVMParams
-	Capacitor          capacitor.Config
-	Ideal              bool
-	DupSuppress        bool
-	ReissueOnExit      bool
-	GateAddressGen     bool
-	RecordCycles       bool
-	MaxCycles          uint64
-	Faults             *fault.Config
-	Paranoid           bool
-	Profile            bool
+	IFactory       string
+	DFactory       string
+	InitialDegree  int
+	IPEXInst       bool
+	IPEXData       bool
+	IPEX           core.Config
+	NVM            energy.NVMParams
+	Capacitor      capacitor.Config
+	Ideal          bool
+	DupSuppress    bool
+	ReissueOnExit  bool
+	GateAddressGen bool
+	RecordCycles   bool
+	MaxCycles      uint64
+	Faults         *fault.Config
+	Paranoid       bool
+	Profile        bool
 }
 
 // ErrUnnamedFactory reports a config whose prefetcher factory carries no

@@ -18,11 +18,11 @@ func FuzzJournalLine(f *testing.F) {
 	fail, _ := json.Marshal(Entry{Kind: KindFail, Key: Key("cell"), App: "fft", Error: "boom", Attempts: 2})
 	for _, seed := range [][]byte{
 		hdr, cell, fail,
-		[]byte(`{"kind":"cell","key":"beef"}`),             // cell without result
-		[]byte(`{"kind":"header"}`),                        // header without schema
-		[]byte(`{"kind":"fail"}`),                          // fail without key
-		[]byte(`{"kind":"cell","key":"be`),                 // torn tail
-		[]byte(`{"kind":"wat","key":"beef"}`),              // unknown kind
+		[]byte(`{"kind":"cell","key":"beef"}`), // cell without result
+		[]byte(`{"kind":"header"}`),            // header without schema
+		[]byte(`{"kind":"fail"}`),              // fail without key
+		[]byte(`{"kind":"cell","key":"be`),     // torn tail
+		[]byte(`{"kind":"wat","key":"beef"}`),  // unknown kind
 		[]byte(`null`), []byte(``), []byte(`[]`), []byte(`"x"`),
 		[]byte("{\"kind\":\"cell\",\"key\":\"\xff\xfe\"}"), // invalid UTF-8
 	} {

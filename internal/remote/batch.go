@@ -30,10 +30,13 @@ import (
 //
 // A 200 frame's body is the same result bytes /v1/run serves for the item;
 // any other status carries an error message. Every frame is verified like a
-// /v1/run response — key echo, SHA-256 over the body, strict decode. A
-// frame whose framing, checksum or key echo fails ends the stream: its cell
-// and every later one go back to the per-cell path. A body that fails only
-// the strict decode sends its own cell back.
+// /v1/run response — key echo, SHA-256 over the body, strict decode. The
+// header line and the body are each decoded in one pass when they are in
+// the layout json.Marshal writes, and by encoding/json otherwise; both
+// paths accept the same bytes (see decodeResult). A frame whose framing,
+// checksum or key echo fails ends the stream: its cell and every later one
+// go back to the per-cell path. A body that fails only the strict decode
+// sends its own cell back.
 const (
 	// MaxBatchItems caps the items of one /v1/batch request. The client
 	// sends at most this many per stream; the server answers any excess
@@ -94,10 +97,8 @@ func readBatch(r io.Reader, keys []string, got func(i int, f BatchFrame, body []
 			}
 			return i, outcomeNet, fmt.Errorf("frame %d: %w", i, eofUnexpected(err))
 		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		var f BatchFrame
-		if err := dec.Decode(&f); err != nil {
+		f, err := decodeFrame(line)
+		if err != nil {
 			return i, outcomeVerify, fmt.Errorf("frame %d: decoding header: %w", i, err)
 		}
 		if f.Len < 0 || f.Len > maxResultBody {
@@ -122,10 +123,32 @@ func readBatch(r io.Reader, keys []string, got func(i int, f BatchFrame, body []
 	return len(keys), outcomeOK, nil
 }
 
+// decodeFrame decodes a frame header line: in one pass when the line is
+// the header WriteBatchFrame writes, else through a json.Decoder that reads
+// the line's first JSON value and refuses unknown fields.
+func decodeFrame(line []byte) (BatchFrame, error) {
+	var f BatchFrame
+	if decodeCanonical(framePlan, bytes.TrimSuffix(line, []byte{'\n'}), &f) {
+		return f, nil
+	}
+	f = BatchFrame{}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&f)
+	return f, err
+}
+
 // decodeResult is the strict decode every verified result body passes,
-// from /v1/run and /v1/batch alike.
+// from /v1/run and /v1/batch alike. A body in the layout json.Marshal
+// writes is decoded in one pass (decodeCanonical); any other goes to
+// decodeStrict, so the bodies accepted and the values they decode to are
+// decodeStrict's: unknown fields and trailing data are refused.
 func decodeResult(body []byte) (nvp.Result, error) {
 	var res nvp.Result
+	if decodeCanonical(resultPlan, body, &res) {
+		return res, nil
+	}
+	res = nvp.Result{}
 	err := decodeStrict(body, &res)
 	return res, err
 }

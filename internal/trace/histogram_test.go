@@ -149,10 +149,10 @@ func TestWritePromHistogramFormat(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE ipex_lat_seconds histogram",
-		`ipex_lat_seconds_bucket{le="0.001"} 1`,  // underflow folds into the first bound
-		`ipex_lat_seconds_bucket{le="0.01"} 3`,   // cumulative
-		`ipex_lat_seconds_bucket{le="0.1"} 4`,    // cumulative
-		`ipex_lat_seconds_bucket{le="+Inf"} 5`,   // total
+		`ipex_lat_seconds_bucket{le="0.001"} 1`, // underflow folds into the first bound
+		`ipex_lat_seconds_bucket{le="0.01"} 3`,  // cumulative
+		`ipex_lat_seconds_bucket{le="0.1"} 4`,   // cumulative
+		`ipex_lat_seconds_bucket{le="+Inf"} 5`,  // total
 		"ipex_lat_seconds_sum 5.0601",
 		"ipex_lat_seconds_count 5",
 	} {

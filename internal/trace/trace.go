@@ -95,9 +95,9 @@ const (
 // Event is one JSONL record. Cycle and PowerCycle are stamped by the
 // tracer's clock at emission; emitters fill the rest.
 type Event struct {
-	Kind       Kind    `json:"ev"`
-	Cycle      uint64  `json:"cycle"`
-	PowerCycle uint64  `json:"pcycle"`
+	Kind       Kind   `json:"ev"`
+	Cycle      uint64 `json:"cycle"`
+	PowerCycle uint64 `json:"pcycle"`
 	// Run labels KindRunStart events with the workload name.
 	Run string `json:"run,omitempty"`
 	// Side is "icache" or "dcache" for per-cache-side events.
